@@ -129,15 +129,15 @@ struct Delta {
 fn collect_deltas(path: &str, old: Option<&Value>, new: Option<&Value>, out: &mut Vec<Delta>) {
     match (old, new) {
         (Some(Value::Object(a)), Some(Value::Object(b))) => {
-            let mut keys: Vec<&String> = a.iter().map(|(k, _)| k).collect();
+            let mut keys: Vec<&str> = a.iter().map(|(k, _)| &**k).collect();
             for (k, _) in b {
-                if !keys.contains(&k) {
+                if !keys.contains(&&**k) {
                     keys.push(k);
                 }
             }
             for k in keys {
                 let sub = if path.is_empty() {
-                    k.clone()
+                    k.to_string()
                 } else {
                     format!("{path}.{k}")
                 };
@@ -203,7 +203,7 @@ fn drop_reasons(path: &str, v: &Value, out: &mut Vec<(String, String)>) {
                 if let Value::Object(reasons) = sub {
                     for (reason, count) in reasons {
                         if as_f64(count).unwrap_or(0.0) > 0.0 {
-                            out.push((path.to_string(), reason.clone()));
+                            out.push((path.to_string(), reason.to_string()));
                         }
                     }
                 }

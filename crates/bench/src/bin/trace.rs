@@ -128,7 +128,7 @@ fn extract_lifecycles(doc: &Value) -> Vec<(String, Lifecycle)> {
     if let Some(Value::Object(snaps)) = get(doc, "snapshots") {
         for (label, snap) in snaps {
             if let Some(lc) = get(snap, "lifecycle").and_then(Lifecycle::from_value) {
-                out.push((label.clone(), lc));
+                out.push((label.to_string(), lc));
             }
         }
     }

@@ -19,7 +19,7 @@ use std::path::PathBuf;
 
 use netsim::{Lifecycle, TelemetryConfig, World};
 use parking_lot::Mutex;
-use serde::{Serialize, Value};
+use serde::{Key, Serialize, Value};
 
 use crate::Table;
 
@@ -29,7 +29,7 @@ const LIFECYCLE_SPAN_CAP: usize = 512;
 
 struct Collector {
     enabled: bool,
-    snapshots: Vec<(String, Value)>,
+    snapshots: Vec<(Key, Value)>,
 }
 
 static COLLECTOR: Mutex<Collector> = Mutex::new(Collector {
@@ -99,8 +99,11 @@ pub fn record_world(label: &str, world: &World) {
     if !c.enabled || !world.metrics.enabled() {
         return;
     }
-    let snap = world_snapshot(world);
-    c.snapshots.push((label.to_string(), snap));
+    let snap = {
+        let _s = netsim::profile::scope("report/world_snapshot");
+        world_snapshot(world)
+    };
+    c.snapshots.push((Key::Owned(label.to_string()), snap));
 }
 
 /// The report snapshot for one world, exactly as [`record_world`] embeds
@@ -109,10 +112,11 @@ pub fn record_world(label: &str, world: &World) {
 /// (unsampled, unmonitored) snapshots carry no extra sections.
 pub fn world_snapshot(world: &World) -> Value {
     let mut snap = vec![(
-        "metrics".to_string(),
+        "metrics".into(),
         world.metrics.snapshot(&world.node_names(), world.now()),
     )];
     if !world.trace.events().is_empty() {
+        let _s = netsim::profile::scope("report/lifecycle");
         let lc = Lifecycle::reconstruct(&world.trace, &world.node_names());
         snap.push(("lifecycle".into(), lc.report_value(LIFECYCLE_SPAN_CAP)));
     }
@@ -176,7 +180,7 @@ pub fn record_value(label: &str, value: &impl Serialize) {
         return;
     }
     let v = value.to_value();
-    c.snapshots.push((label.to_string(), v));
+    c.snapshots.push((Key::Owned(label.to_string()), v));
 }
 
 fn report_dir() -> PathBuf {

@@ -470,37 +470,34 @@ serde::impl_serialize!(PolicyStormStats {
 impl serde::Serialize for ChurnStats {
     fn to_value(&self) -> serde::Value {
         let mut fields = vec![
-            ("handoffs".to_string(), serde::Value::U64(self.handoffs)),
+            ("handoffs".into(), serde::Value::U64(self.handoffs)),
+            ("flash_pings".into(), serde::Value::U64(self.flash_pings)),
             (
-                "flash_pings".to_string(),
-                serde::Value::U64(self.flash_pings),
-            ),
-            (
-                "flash_replies".to_string(),
+                "flash_replies".into(),
                 serde::Value::U64(self.flash_replies),
             ),
             (
-                "registrations_sent".to_string(),
+                "registrations_sent".into(),
                 serde::Value::U64(self.registrations_sent),
             ),
             (
-                "registrations_accepted".to_string(),
+                "registrations_accepted".into(),
                 serde::Value::U64(self.registrations_accepted),
             ),
             (
-                "bindings_dropped".to_string(),
+                "bindings_dropped".into(),
                 serde::Value::U64(self.bindings_dropped),
             ),
-            ("events".to_string(), serde::Value::U64(self.events)),
+            ("events".into(), serde::Value::U64(self.events)),
             (
-                "sim_elapsed_us".to_string(),
+                "sim_elapsed_us".into(),
                 serde::Value::U64(self.sim_elapsed_us),
             ),
         ];
         // Appended only when the storm ran, so default-config runs keep
         // their pre-existing report bytes.
         if let Some(p) = &self.policy {
-            fields.push(("policy".to_string(), p.to_value()));
+            fields.push(("policy".into(), p.to_value()));
         }
         serde::Value::Object(fields)
     }

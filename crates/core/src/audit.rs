@@ -17,7 +17,7 @@
 use std::collections::VecDeque;
 
 use netsim::{Ipv4Addr, SimTime};
-use serde::{Serialize, Value};
+use serde::{Key, Serialize, Value};
 
 use crate::modes::OutMode;
 
@@ -172,9 +172,8 @@ impl AuditEvent {
 
 impl Serialize for AuditEvent {
     fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> =
-            vec![("kind".into(), Value::Str(self.kind().into()))];
-        let mut put = |k: &str, v: Value| fields.push((k.into(), v));
+        let mut fields: Vec<(Key, Value)> = vec![("kind".into(), Value::Str(self.kind().into()))];
+        let mut put = |k: &'static str, v: Value| fields.push((k.into(), v));
         match *self {
             AuditEvent::Decision {
                 correspondent,
@@ -416,17 +415,17 @@ impl Serialize for AuditTrail {
     fn to_value(&self) -> Value {
         let mut fields = vec![
             (
-                "entries".to_string(),
+                "entries".into(),
                 Value::Array(self.entries.iter().map(|e| e.to_value()).collect()),
             ),
-            ("shed".to_string(), Value::U64(self.shed)),
+            ("shed".into(), Value::U64(self.shed)),
         ];
         if self.shed > 0 {
             // A truncated history must be legible as such: say how big the
             // window was and how much passed through it. Omitted when
             // nothing was shed so untruncated reports stay byte-stable.
-            fields.push(("capacity".to_string(), Value::U64(self.capacity as u64)));
-            fields.push(("recorded".to_string(), Value::U64(self.recorded())));
+            fields.push(("capacity".into(), Value::U64(self.capacity as u64)));
+            fields.push(("recorded".into(), Value::U64(self.recorded())));
         }
         Value::Object(fields)
     }

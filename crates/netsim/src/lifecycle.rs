@@ -29,7 +29,7 @@ use crate::trace::{
 use crate::wire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Packet};
 use crate::wire::pcap::PcapNgWriter;
 use bytes::Bytes;
-use serde::{Serialize, Value};
+use serde::{Key, Serialize, Value};
 
 /// How a packet's recorded life ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +49,7 @@ pub enum PacketOutcome {
 impl Serialize for PacketOutcome {
     fn to_value(&self) -> Value {
         let mut fields = vec![(
-            "outcome".to_string(),
+            "outcome".into(),
             Value::Str(
                 match self {
                     PacketOutcome::Delivered(_) => "delivered",
@@ -88,7 +88,7 @@ pub struct Hop {
 impl Serialize for Hop {
     fn to_value(&self) -> Value {
         Value::Object(vec![
-            ("from".to_string(), Value::U64(self.from.0 as u64)),
+            ("from".into(), Value::U64(self.from.0 as u64)),
             ("to".into(), Value::U64(self.to.0 as u64)),
             ("us".into(), Value::U64(self.latency.as_micros())),
         ])
@@ -141,7 +141,7 @@ impl PacketLifecycle {
 impl Serialize for PacketLifecycle {
     fn to_value(&self) -> Value {
         Value::Object(vec![
-            ("id".to_string(), self.id.to_value()),
+            ("id".into(), self.id.to_value()),
             ("flow".into(), self.flow.to_value()),
             ("parent".into(), self.parent.to_value()),
             ("truncated".into(), Value::Bool(self.truncated)),
@@ -191,10 +191,10 @@ impl Serialize for FlowSummary {
         let drops = self
             .drops
             .iter()
-            .map(|(r, n)| (r.tag().to_string(), Value::U64(*n)))
+            .map(|(r, n)| (Key::Borrowed(r.tag()), Value::U64(*n)))
             .collect();
         Value::Object(vec![
-            ("flow".to_string(), self.flow.to_value()),
+            ("flow".into(), self.flow.to_value()),
             ("src".into(), Value::Str(self.src.to_string())),
             ("dst".into(), Value::Str(self.dst.to_string())),
             ("protocol".into(), Value::U64(self.protocol.number().into())),
@@ -418,7 +418,7 @@ impl Lifecycle {
     fn value_with(&self, packets: &[&PacketLifecycle], omitted: Option<usize>) -> Value {
         let mut fields = vec![
             (
-                "nodes".to_string(),
+                "nodes".into(),
                 Value::Array(
                     self.node_names
                         .iter()
@@ -496,13 +496,13 @@ impl Lifecycle {
     pub fn chrome_trace(&self) -> Value {
         fn meta(tid: u64, what: &str, name: &str) -> Value {
             Value::Object(vec![
-                ("ph".to_string(), Value::Str("M".into())),
+                ("ph".into(), Value::Str("M".into())),
                 ("pid".into(), Value::U64(0)),
                 ("tid".into(), Value::U64(tid)),
                 ("name".into(), Value::Str(what.into())),
                 (
                     "args".into(),
-                    Value::Object(vec![("name".to_string(), Value::Str(name.into()))]),
+                    Value::Object(vec![("name".into(), Value::Str(name.into()))]),
                 ),
             ])
         }
@@ -513,7 +513,7 @@ impl Lifecycle {
         for p in &self.packets {
             let label = format!("{} {}", p.id, p.flow);
             let mut args = vec![
-                ("packet".to_string(), Value::Str(p.id.to_string())),
+                ("packet".into(), Value::Str(p.id.to_string())),
                 ("flow".into(), Value::Str(p.flow.to_string())),
             ];
             if let Some(parent) = p.parent {
@@ -521,7 +521,7 @@ impl Lifecycle {
             }
             for h in &p.hops {
                 events.push(Value::Object(vec![
-                    ("name".to_string(), Value::Str(label.clone())),
+                    ("name".into(), Value::Str(label.clone())),
                     ("cat".into(), Value::Str("hop".into())),
                     ("ph".into(), Value::Str("X".into())),
                     (
@@ -536,7 +536,7 @@ impl Lifecycle {
                         Value::Object(
                             args.iter()
                                 .cloned()
-                                .chain([("to".to_string(), Value::Str(self.node_name(h.to)))])
+                                .chain([("to".into(), Value::Str(self.node_name(h.to)))])
                                 .collect(),
                         ),
                     ),
@@ -550,7 +550,7 @@ impl Lifecycle {
                     _ => continue,
                 };
                 events.push(Value::Object(vec![
-                    ("name".to_string(), Value::Str(name)),
+                    ("name".into(), Value::Str(name)),
                     ("cat".into(), Value::Str(e.kind.tag().into())),
                     ("ph".into(), Value::Str("i".into())),
                     ("s".into(), Value::Str("t".into())),
@@ -562,7 +562,7 @@ impl Lifecycle {
             }
         }
         Value::Object(vec![
-            ("traceEvents".to_string(), Value::Array(events)),
+            ("traceEvents".into(), Value::Array(events)),
             ("displayTimeUnit".into(), Value::Str("ms".into())),
         ])
     }

@@ -377,13 +377,13 @@ impl NodeMetrics {
 
 impl serde::Serialize for NodeMetrics {
     fn to_value(&self) -> serde::Value {
-        let drops: Vec<(String, serde::Value)> = self
+        let drops: Vec<(serde::Key, serde::Value)> = self
             .drops_by_reason()
-            .map(|(r, n)| (r.tag().to_string(), n.to_value()))
+            .map(|(r, n)| (serde::Key::Borrowed(r.tag()), n.to_value()))
             .collect();
-        let encap: Vec<(String, serde::Value)> = ENCAP_FORMATS
+        let encap: Vec<(serde::Key, serde::Value)> = ENCAP_FORMATS
             .into_iter()
-            .map(|f| (format!("{f:?}"), self.encap_bytes(f).to_value()))
+            .map(|f| (format!("{f:?}").into(), self.encap_bytes(f).to_value()))
             .filter(|(_, v)| *v != serde::Value::U64(0))
             .collect();
         serde::Value::Object(vec![
@@ -945,7 +945,7 @@ impl MetricsRegistry {
         if let Some(sk) = &self.sketched {
             return self.sketched_snapshot(sk, names, now);
         }
-        let nodes: Vec<(String, serde::Value)> = self
+        let nodes: Vec<(serde::Key, serde::Value)> = self
             .nodes
             .iter()
             .enumerate()
@@ -954,10 +954,10 @@ impl MetricsRegistry {
                     .get(i)
                     .map(|s| (*s).to_string())
                     .unwrap_or_else(|| format!("node{i}"));
-                (label, m.to_value())
+                (label.into(), m.to_value())
             })
             .collect();
-        let segments: Vec<(String, serde::Value)> = self
+        let segments: Vec<(serde::Key, serde::Value)> = self
             .segments
             .iter()
             .enumerate()
@@ -970,13 +970,13 @@ impl MetricsRegistry {
                     "utilization".into(),
                     m.utilization(now.since(SimTime::ZERO)).to_value(),
                 ));
-                (format!("segment{i}"), serde::Value::Object(v))
+                (format!("segment{i}").into(), serde::Value::Object(v))
             })
             .collect();
-        let drops: Vec<(String, serde::Value)> = self
+        let drops: Vec<(serde::Key, serde::Value)> = self
             .total_drops_by_reason()
             .into_iter()
-            .map(|(r, n)| (r.to_string(), n.to_value()))
+            .map(|(r, n)| (serde::Key::Borrowed(r.label()), n.to_value()))
             .collect();
         serde::Value::Object(vec![
             ("sim_time_us".into(), now.as_micros().to_value()),
@@ -1036,10 +1036,10 @@ impl MetricsRegistry {
                 .utilization(now.since(SimTime::ZERO))
                 .to_value(),
         ));
-        let drops: Vec<(String, serde::Value)> = self
+        let drops: Vec<(serde::Key, serde::Value)> = self
             .total_drops_by_reason()
             .into_iter()
-            .map(|(r, n)| (r.to_string(), n.to_value()))
+            .map(|(r, n)| (serde::Key::Borrowed(r.label()), n.to_value()))
             .collect();
         serde::Value::Object(vec![
             ("sim_time_us".into(), now.as_micros().to_value()),

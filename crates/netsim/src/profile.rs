@@ -567,12 +567,12 @@ fn count_nodes(stats: &[ScopeStat]) -> usize {
 
 fn stat_value(s: &ScopeStat, budget: &mut usize) -> Value {
     let mut fields = vec![
-        ("name".to_string(), Value::Str(s.name.clone())),
-        ("calls".to_string(), Value::U64(s.calls)),
-        ("incl_ns".to_string(), Value::U64(s.incl_ns)),
-        ("excl_ns".to_string(), Value::U64(s.excl_ns)),
-        ("allocs".to_string(), Value::U64(s.allocs)),
-        ("alloc_bytes".to_string(), Value::U64(s.alloc_bytes)),
+        ("name".into(), Value::Str(s.name.clone())),
+        ("calls".into(), Value::U64(s.calls)),
+        ("incl_ns".into(), Value::U64(s.incl_ns)),
+        ("excl_ns".into(), Value::U64(s.excl_ns)),
+        ("allocs".into(), Value::U64(s.allocs)),
+        ("alloc_bytes".into(), Value::U64(s.alloc_bytes)),
     ];
     let mut children = Vec::new();
     // Children arrive sorted by inclusive time, so a greedy budget walk
@@ -585,7 +585,7 @@ fn stat_value(s: &ScopeStat, budget: &mut usize) -> Value {
         children.push(stat_value(c, budget));
     }
     if !children.is_empty() {
-        fields.push(("children".to_string(), Value::Array(children)));
+        fields.push(("children".into(), Value::Array(children)));
     }
     Value::Object(fields)
 }
@@ -613,19 +613,19 @@ impl ProfileReport {
             scopes.push(stat_value(r, &mut budget));
         }
         Value::Object(vec![
-            ("wall_ns".to_string(), Value::U64(self.wall_ns)),
-            ("flushes".to_string(), Value::U64(self.flushes)),
-            ("scopes_total".to_string(), Value::U64(total as u64)),
+            ("wall_ns".into(), Value::U64(self.wall_ns)),
+            ("flushes".into(), Value::U64(self.flushes)),
+            ("scopes_total".into(), Value::U64(total as u64)),
             (
-                "counters".to_string(),
+                "counters".into(),
                 Value::Object(
                     self.counters
                         .iter()
-                        .map(|(n, v)| (n.clone(), Value::U64(*v)))
+                        .map(|(n, v)| (n.clone().into(), Value::U64(*v)))
                         .collect(),
                 ),
             ),
-            ("scopes".to_string(), Value::Array(scopes)),
+            ("scopes".into(), Value::Array(scopes)),
         ])
     }
 
@@ -673,7 +673,7 @@ impl ProfileReport {
         let counters = match get(v, "counters") {
             Some(Value::Object(fields)) => fields
                 .iter()
-                .filter_map(|(k, v)| Some((k.clone(), as_u64(v)?)))
+                .filter_map(|(k, v)| Some((k.to_string(), as_u64(v)?)))
                 .collect(),
             _ => Vec::new(),
         };
@@ -793,18 +793,18 @@ impl ProfileReport {
         fn emit(events: &mut Vec<Value>, s: &ScopeStat, ts_us: f64) {
             let dur_us = s.incl_ns as f64 / 1_000.0;
             events.push(Value::Object(vec![
-                ("name".to_string(), Value::Str(s.name.clone())),
-                ("ph".to_string(), Value::Str("X".to_string())),
-                ("ts".to_string(), Value::F64(ts_us)),
-                ("dur".to_string(), Value::F64(dur_us)),
-                ("pid".to_string(), Value::U64(1)),
-                ("tid".to_string(), Value::U64(1)),
+                ("name".into(), Value::Str(s.name.clone())),
+                ("ph".into(), Value::Str("X".to_string())),
+                ("ts".into(), Value::F64(ts_us)),
+                ("dur".into(), Value::F64(dur_us)),
+                ("pid".into(), Value::U64(1)),
+                ("tid".into(), Value::U64(1)),
                 (
-                    "args".to_string(),
+                    "args".into(),
                     Value::Object(vec![
-                        ("calls".to_string(), Value::U64(s.calls)),
-                        ("allocs".to_string(), Value::U64(s.allocs)),
-                        ("alloc_bytes".to_string(), Value::U64(s.alloc_bytes)),
+                        ("calls".into(), Value::U64(s.calls)),
+                        ("allocs".into(), Value::U64(s.allocs)),
+                        ("alloc_bytes".into(), Value::U64(s.alloc_bytes)),
                     ]),
                 ),
             ]));
@@ -815,13 +815,13 @@ impl ProfileReport {
             }
         }
         let mut events = vec![Value::Object(vec![
-            ("name".to_string(), Value::Str("process_name".to_string())),
-            ("ph".to_string(), Value::Str("M".to_string())),
-            ("pid".to_string(), Value::U64(1)),
+            ("name".into(), Value::Str("process_name".to_string())),
+            ("ph".into(), Value::Str("M".to_string())),
+            ("pid".into(), Value::U64(1)),
             (
-                "args".to_string(),
+                "args".into(),
                 Value::Object(vec![(
-                    "name".to_string(),
+                    "name".into(),
                     Value::Str("netsim profile (merged scopes)".to_string()),
                 )]),
             ),
@@ -832,8 +832,8 @@ impl ProfileReport {
             ts += r.incl_ns as f64 / 1_000.0;
         }
         Value::Object(vec![
-            ("traceEvents".to_string(), Value::Array(events)),
-            ("displayTimeUnit".to_string(), Value::Str("ms".to_string())),
+            ("traceEvents".into(), Value::Array(events)),
+            ("displayTimeUnit".into(), Value::Str("ms".to_string())),
         ])
     }
 }
@@ -1026,8 +1026,8 @@ impl TimeSeries {
     /// Lowers the sample set to a run-report value.
     pub fn to_value(&self) -> Value {
         Value::Object(vec![
-            ("interval_us".to_string(), Value::U64(self.interval_us)),
-            ("samples".to_string(), self.samples.to_value()),
+            ("interval_us".into(), Value::U64(self.interval_us)),
+            ("samples".into(), self.samples.to_value()),
         ])
     }
 }

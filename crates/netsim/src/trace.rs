@@ -103,9 +103,11 @@ impl Serialize for DropReason {
     }
 }
 
-impl std::fmt::Display for DropReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl DropReason {
+    /// Human-readable description, as `Display` prints it (the key of
+    /// run reports' `total_drops`).
+    pub fn label(self) -> &'static str {
+        match self {
             DropReason::SourceAddressFilter => "source-address filter",
             DropReason::TransitPolicy => "transit policy",
             DropReason::Firewall => "firewall",
@@ -116,8 +118,13 @@ impl std::fmt::Display for DropReason {
             DropReason::ArpFailure => "arp failure",
             DropReason::NoListener => "no listener",
             DropReason::Malformed => "malformed",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for DropReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -222,7 +229,7 @@ impl std::fmt::Display for TransformKind {
 
 impl Serialize for TransformKind {
     fn to_value(&self) -> Value {
-        let mut fields = vec![("transform".to_string(), Value::Str(self.tag().into()))];
+        let mut fields = vec![("transform".into(), Value::Str(self.tag().into()))];
         if let Some(fmt) = self.format() {
             fields.push(("format".into(), Value::Str(fmt.tag().into())));
         }
@@ -397,7 +404,7 @@ impl TraceEventKind {
 
 impl Serialize for TraceEventKind {
     fn to_value(&self) -> Value {
-        let mut fields = vec![("event".to_string(), Value::Str(self.tag().into()))];
+        let mut fields = vec![("event".into(), Value::Str(self.tag().into()))];
         match self {
             TraceEventKind::Dropped(r) => fields.push(("reason".into(), r.to_value())),
             TraceEventKind::Transformed(t) => {
@@ -438,7 +445,7 @@ impl Serialize for TraceEvent {
             unreachable!("TraceEventKind serializes to an object");
         };
         let mut fields = vec![
-            ("t_us".to_string(), Value::U64(self.at.0)),
+            ("t_us".into(), Value::U64(self.at.0)),
             ("node".into(), Value::U64(self.node.0 as u64)),
             ("packet_id".into(), self.packet_id.to_value()),
             ("flow_id".into(), self.flow_id.to_value()),

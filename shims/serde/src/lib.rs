@@ -6,10 +6,25 @@
 //! renders that tree. Structs get their impl from the declarative
 //! [`impl_serialize!`] macro instead of `#[derive(Serialize)]`.
 //!
-//! Only the serialization half exists — nothing in the workspace
-//! deserializes.
+//! Object keys are [`Key`]s, copy-on-write strings: field names and
+//! other fixed tags are borrowed `&'static str` literals, so lowering a
+//! struct allocates nothing for its keys; only keys built from data (node
+//! names, labels, `format!` keys) are owned.
+//!
+//! A tree that already exists renders without being copied:
+//! [`Serialize::as_value`] hands a borrowed view of a [`Value`] to the
+//! renderer, which falls back to [`Serialize::to_value`] for every other
+//! type.
+//!
+//! Only the serialization half exists here; `serde_json::from_str` parses
+//! JSON text back into a [`Value`] for tools that re-read reports.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+
+/// An object key: a borrowed literal for field names and fixed tags, an
+/// owned string for keys built from data. Compares with `&str` directly.
+pub type Key = Cow<'static, str>;
 
 /// A JSON-shaped value tree: the intermediate representation every
 /// [`Serialize`] type lowers itself into.
@@ -30,18 +45,30 @@ pub enum Value {
     /// JSON array.
     Array(Vec<Value>),
     /// JSON object; insertion-ordered so emitted documents are stable.
-    Object(Vec<(String, Value)>),
+    Object(Vec<(Key, Value)>),
 }
 
 /// A type that can lower itself into a [`Value`] tree.
 pub trait Serialize {
     /// Converts `self` into the value tree that will be rendered.
     fn to_value(&self) -> Value;
+
+    /// `self` as an already-built tree, if it is one. Renderers use this
+    /// to borrow a [`Value`] instead of cloning it through
+    /// [`to_value`](Serialize::to_value); only `Value` (and references
+    /// to it) return `Some`.
+    fn as_value(&self) -> Option<&Value> {
+        None
+    }
 }
 
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Option<&Value> {
+        Some(self)
     }
 }
 
@@ -101,6 +128,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Option<&Value> {
+        (**self).as_value()
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -134,7 +165,7 @@ impl<K: ToString, V: Serialize> Serialize for BTreeMap<K, V> {
     fn to_value(&self) -> Value {
         Value::Object(
             self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_value()))
+                .map(|(k, v)| (Key::Owned(k.to_string()), v.to_value()))
                 .collect(),
         )
     }
@@ -145,9 +176,9 @@ impl<K: ToString, V: Serialize> Serialize for BTreeMap<K, V> {
 /// or insertion order.
 impl<K: ToString, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
     fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = self
+        let mut fields: Vec<(Key, Value)> = self
             .iter()
-            .map(|(k, v)| (k.to_string(), v.to_value()))
+            .map(|(k, v)| (Key::Owned(k.to_string()), v.to_value()))
             .collect();
         fields.sort_by(|(a, _), (b, _)| a.cmp(b));
         Value::Object(fields)
@@ -184,7 +215,7 @@ macro_rules! impl_serialize {
         impl $crate::Serialize for $name {
             fn to_value(&self) -> $crate::Value {
                 $crate::Value::Object(vec![
-                    $((stringify!($field).to_string(),
+                    $(($crate::Key::Borrowed(stringify!($field)),
                        $crate::Serialize::to_value(&self.$field)),)*
                 ])
             }
@@ -225,6 +256,15 @@ mod tests {
     }
 
     #[test]
+    fn only_values_lend_themselves() {
+        let v = Value::Array(vec![Value::U64(1)]);
+        assert!(std::ptr::eq(v.as_value().unwrap(), &v));
+        assert!(std::ptr::eq((&&v).as_value().unwrap(), &v));
+        assert!(5u32.as_value().is_none());
+        assert!(vec![v.clone()].as_value().is_none());
+    }
+
+    #[test]
     fn impl_serialize_macro_emits_object() {
         struct P {
             x: u32,
@@ -242,6 +282,13 @@ mod tests {
                 ("x".into(), Value::U64(7)),
                 ("name".into(), Value::Str("n".into())),
             ])
+        );
+        let Value::Object(fields) = v else {
+            unreachable!()
+        };
+        assert!(
+            fields.iter().all(|(k, _)| matches!(k, Key::Borrowed(_))),
+            "field names are borrowed literals"
         );
     }
 }

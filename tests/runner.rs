@@ -25,12 +25,29 @@ fn pool_map_handles_degenerate_thread_counts() {
     assert_eq!(pool_map(none, 8), Vec::<i32>::new());
 }
 
+/// FNV-1a 64 over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[test]
 fn parallel_run_report_is_byte_identical_to_serial() {
     report::enable();
     let serial_tables = run_all_with(1);
-    let serial = serde_json::to_string(&report::build("all_experiments", &serial_tables))
-        .expect("serializable");
+    let serial_report = report::build("all_experiments", &serial_tables);
+    // The pretty text is what `all_experiments` writes to
+    // `target/run-reports/all_experiments.json`; its bytes are pinned so a
+    // change to the value tree or the renderer cannot alter a report
+    // unnoticed.
+    let pretty = serde_json::to_string_pretty(&serial_report).expect("serializable");
+    assert_eq!(
+        (pretty.len(), fnv1a64(pretty.as_bytes())),
+        (14_375_102, 0xfe4a_2b58_9cac_7601),
+        "all_experiments run report bytes changed"
+    );
+    let serial = serde_json::to_string(&serial_report).expect("serializable");
     let parallel_tables = run_all_with(4);
     let parallel = serde_json::to_string(&report::build("all_experiments", &parallel_tables))
         .expect("serializable");
