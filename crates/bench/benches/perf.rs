@@ -360,62 +360,6 @@ fn bench_telemetry(c: &mut Criterion) {
     g.finish();
 }
 
-/// A multi-domain world for the sharded-execution benches: `domains` LANs
-/// star-joined by a 5 ms backbone, each with one router and one host, and
-/// a ping workload crossing domain borders (host `i` pings host `i+1`).
-/// The backbone's latency is the lookahead the conservative protocol
-/// feeds on, so this is the topology sharding is built for.
-fn sharded_world(domains: usize, shards: usize) -> (World, Vec<netsim::NodeId>) {
-    let mut w = World::with_shards(7, shards);
-    let backbone = w.add_segment(LinkConfig::wan(5));
-    let mut hosts = Vec::with_capacity(domains);
-    for i in 0..domains {
-        let lan = w.add_segment(LinkConfig::lan());
-        let r = w.add_router(RouterConfig::named(&format!("r{i}")));
-        w.attach(r, lan, Some(&format!("10.{i}.0.1/24")));
-        w.attach(r, backbone, Some(&format!("192.168.0.{}/24", i + 1)));
-        let h = w.add_host(HostConfig::conventional(&format!("h{i}")));
-        w.attach(h, lan, Some(&format!("10.{i}.0.10/24")));
-        hosts.push(h);
-    }
-    w.compute_routes();
-    (w, hosts)
-}
-
-/// Drive the sharded world: every host pings its next-domain neighbour
-/// `rounds` times, crossing the backbone (and so every shard border) both
-/// ways. Returns the dispatched-event count as the black-box value.
-fn sharded_run(domains: usize, shards: usize, rounds: u16) -> u64 {
-    let (mut w, hosts) = sharded_world(domains, shards);
-    for round in 1..=rounds {
-        for (i, &h) in hosts.iter().enumerate() {
-            let j = (i + 1) % hosts.len();
-            let src = ip(&format!("10.{i}.0.10"));
-            let dst = ip(&format!("10.{j}.0.10"));
-            w.host_do(h, |host, ctx| host.send_ping(ctx, src, dst, round));
-        }
-        w.run_for(netsim::SimDuration::from_millis(40));
-    }
-    w.run_until_idle(2_000_000);
-    w.scheduler_stats().dispatched
-}
-
-/// Sharded vs serial execution of the same cross-domain workload. On a
-/// multi-core host the sharded rows should drop below the 1-shard row;
-/// on a single core they bound the synchronization overhead instead
-/// (horizon probing, border replay) — both are the numbers this group
-/// exists to track.
-fn bench_shards(c: &mut Criterion) {
-    let mut g = c.benchmark_group("shards");
-    g.sample_size(10);
-    for shards in [1usize, 2, 4, 8] {
-        g.bench_function(format!("8_domains_{shards}_shards"), |b| {
-            b.iter(|| black_box(sharded_run(8, shards, 8)))
-        });
-    }
-    g.finish();
-}
-
 /// Hierarchical world construction and the mass-churn driver. Build cost
 /// is dominated by arithmetic route installation (no shortest-path pass
 /// at any size), so it should scale linearly in hosts; the churn row
@@ -602,7 +546,6 @@ criterion_group!(
     bench_scheduler,
     bench_profile,
     bench_telemetry,
-    bench_shards,
     bench_scale,
     bench_policy,
 );

@@ -86,7 +86,6 @@ fn run(args: &[String]) -> Result<(), String> {
             print!("{}", report.render_tree());
             print_counters(&report);
             print_runner(&doc);
-            print_shards(&doc);
         }
         Mode::Hot(top) => {
             print!("{}", report.render_hot(top));
@@ -130,34 +129,6 @@ fn print_counters(report: &ProfileReport) {
     println!("counters:");
     for (name, v) in interesting {
         println!("  {name:<24} {v}");
-    }
-}
-
-/// Render each snapshot's per-shard scheduler counters (present only when
-/// the run was sharded via `--shards` / `NETSIM_SHARDS`): how far each
-/// shard got, how often its horizon stalled it, and how much traffic
-/// crossed its borders — the quickest way to judge a partitioning.
-fn print_shards(doc: &Value) {
-    let Some(Value::Object(snapshots)) = get(doc, "snapshots") else {
-        return;
-    };
-    for (label, snap) in snapshots {
-        let Some(Value::Array(shards)) = get(snap, "scheduler").and_then(|s| get(s, "shards"))
-        else {
-            continue;
-        };
-        println!("shards ({label}):");
-        for (ix, sh) in shards.iter().enumerate() {
-            let f = |k| get(sh, k).and_then(as_u64).unwrap_or(0);
-            println!(
-                "  shard {ix}: {:>8} events  {:>6} windows  {:>5} stalls  msgs in/out {}/{}",
-                f("events"),
-                f("windows"),
-                f("stalls"),
-                f("msgs_in"),
-                f("msgs_out"),
-            );
-        }
     }
 }
 

@@ -151,20 +151,13 @@ pub fn world_snapshot(world: &World) -> Value {
     // they only appear when profiling was explicitly switched on, keeping
     // default reports byte-identical run to run.
     if netsim::profile::enabled() {
-        let mut sched = vec![
-            ("stats".into(), world.scheduler_stats().to_value()),
-            ("telemetry".into(), world.scheduler_telemetry().to_value()),
-        ];
-        // Per-shard progress counters, present only when the world actually
-        // partitioned: events dispatched, windows joined, horizon stalls,
-        // and cross-border message traffic per shard.
-        if let Some(stats) = world.shard_stats() {
-            sched.push((
-                "shards".into(),
-                Value::Array(stats.iter().map(|s| s.to_value()).collect()),
-            ));
-        }
-        snap.push(("scheduler".into(), Value::Object(sched)));
+        snap.push((
+            "scheduler".into(),
+            Value::Object(vec![
+                ("stats".into(), world.scheduler_stats().to_value()),
+                ("telemetry".into(), world.scheduler_telemetry().to_value()),
+            ]),
+        ));
         if let Some(samples) = world.samples_value() {
             snap.push(("profile_samples".into(), samples));
         }

@@ -14,13 +14,6 @@
 //! [`telemetry_requested`]) install a [`netsim::TelemetryConfig`] that
 //! every observed world receives — head-based flow sampling, heavy-hitter
 //! sketches, and the online invariant monitors' report section.
-//!
-//! Sharded execution is opt-in per process: `--shards N` /
-//! `NETSIM_SHARDS=N` makes every subsequently built world partition
-//! itself into up to `N` conservatively synchronized shards. Output is
-//! byte-identical to a serial run, so the flag is safe on any
-//! experiment; per-shard counters land in the profile-gated `scheduler`
-//! report section.
 
 use crate::report;
 use crate::Table;
@@ -66,24 +59,15 @@ pub fn u64_knob(flag: &str, env: &str) -> Option<u64> {
 pub fn telemetry_requested() -> Option<TelemetryConfig> {
     let mut cfg = TelemetryConfig::default();
     let mut any = false;
-    if let Some(n) = arg_value("--sample-flows")
-        .and_then(|v| v.parse().ok())
-        .or_else(|| env_u64("NETSIM_SAMPLE"))
-    {
+    if let Some(n) = u64_knob("--sample-flows", "NETSIM_SAMPLE") {
         cfg.sample_flows = Some(n);
         any = true;
     }
-    if let Some(k) = arg_value("--topk")
-        .and_then(|v| v.parse().ok())
-        .or_else(|| env_u64("NETSIM_TOPK"))
-    {
+    if let Some(k) = u64_knob("--topk", "NETSIM_TOPK") {
         cfg.topk = k as usize;
         any = true;
     }
-    if let Some(t) = arg_value("--sketch-threshold")
-        .and_then(|v| v.parse().ok())
-        .or_else(|| env_u64("NETSIM_SKETCH_THRESHOLD"))
-    {
+    if let Some(t) = u64_knob("--sketch-threshold", "NETSIM_SKETCH_THRESHOLD") {
         cfg.sketch_node_threshold = t as usize;
         any = true;
     }
@@ -91,16 +75,6 @@ pub fn telemetry_requested() -> Option<TelemetryConfig> {
         cfg.seed = s;
     }
     any.then_some(cfg)
-}
-
-/// The shard count for sharded world execution: the `--shards N` flag
-/// wins over the `NETSIM_SHARDS` environment variable. `None` when
-/// neither is present (worlds run serially, today's default).
-pub fn shards_requested() -> Option<usize> {
-    arg_value("--shards")
-        .and_then(|v| v.parse().ok())
-        .or_else(|| env_u64("NETSIM_SHARDS").map(|n| n as usize))
-        .filter(|&n| n >= 1)
 }
 
 /// Run an experiment binary body under the standard harness: report
@@ -111,9 +85,6 @@ pub fn run(name: &'static str, f: impl FnOnce() -> Vec<Table>) -> Vec<Table> {
     report::enable();
     if let Some(cfg) = telemetry_requested() {
         report::set_telemetry_config(cfg);
-    }
-    if let Some(n) = shards_requested() {
-        netsim::set_default_shards(n);
     }
     let profiling = profile_requested();
     if profiling {

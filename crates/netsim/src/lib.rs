@@ -39,7 +39,6 @@ pub mod link;
 pub mod metrics;
 pub mod profile;
 pub mod route;
-pub mod shard;
 pub mod telemetry;
 pub mod time;
 pub mod trace;
@@ -63,7 +62,6 @@ pub use metrics::{
     Histogram, MetricsRegistry, NodeMetrics, SegmentMetrics, SketchConfig, SketchedMetrics,
 };
 pub use route::RouteTable;
-pub use shard::{default_shards, set_default_shards, ShardStats};
 pub use telemetry::{
     InvariantMonitor, InvariantViolation, Reservoir, SketchEntry, SpaceSaving, TelemetryConfig,
 };

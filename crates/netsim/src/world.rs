@@ -1,7 +1,5 @@
-//! The simulation world: nodes, segments, the event loop, automatic
-//! shortest-path route computation for static topologies, and the
-//! deterministic sharded runtime (conservative parallel discrete-event
-//! simulation whose output is byte-identical to serial runs).
+//! The simulation world: nodes, segments, the serial event loop, and
+//! automatic shortest-path route computation for static topologies.
 
 use std::collections::{BinaryHeap, HashSet};
 
@@ -14,12 +12,11 @@ use crate::device::nic::IfaceAddr;
 use crate::device::router::{Router, RouterConfig};
 use crate::device::{token, NS_APPS};
 use crate::event::{
-    lane_key, node_lane, Event, EventKind, EventQueue, EventSink, IfaceNo, NodeId, SchedulerKind,
-    SchedulerStats, SchedulerTelemetry, Timer, TimerHandle, TimerToken,
+    lane_key, node_lane, Event, EventKind, EventQueue, IfaceNo, NodeId, SchedulerStats,
+    SchedulerTelemetry, Timer, TimerHandle, TimerToken,
 };
 use crate::link::{FaultOutcome, LinkConfig, LinkStats, SegState, Segment, SegmentId};
 use crate::metrics::{MetricsRegistry, SketchConfig};
-use crate::shard::{Group, Op, PendingTx, PushCounts, RoundLog, Runtime, ShardStats, TxRecord};
 use crate::telemetry::{hash64, InvariantMonitor, TelemetryConfig};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{PacketTrace, TraceEventKind, TransformKind};
@@ -102,20 +99,12 @@ impl Node {
 }
 
 // ---------------------------------------------------------------------------
-// Event routing plumbing
+// Deterministic seeds
 // ---------------------------------------------------------------------------
 
-/// The node an event is addressed to — the routing function of the sharded
-/// runtime (every event is dispatched on its target node's shard).
-fn event_node(kind: &EventKind) -> NodeId {
-    match kind {
-        EventKind::Deliver { node, .. } => *node,
-        EventKind::Timer(t) => t.node,
-    }
-}
-
 /// Deterministic per-node RNG seed: a hash of the world seed and the node
-/// id, so every node's stream is independent of dispatch interleaving.
+/// id, so a node's stream depends only on its own draws, never on how its
+/// dispatches interleave with other nodes'.
 fn node_seed(world_seed: u64, n: usize) -> u64 {
     hash64(world_seed ^ (0x4e4f_4445u64 << 32) ^ n as u64)
 }
@@ -125,161 +114,30 @@ fn segment_seed(world_seed: u64, s: usize) -> u64 {
     hash64(world_seed ^ (0x5345_474du64 << 32) ^ s as u64)
 }
 
-/// A coordinator-side event sink: either the serial queue, or the shard
-/// queues with events routed by target node. Routed pushes and cancels are
-/// counted into the runtime's global scheduler ledger (`sim_stats`) so the
-/// ledger reproduces the serial queue's counters exactly.
-enum QueueRef<'a> {
-    Single(&'a mut EventQueue),
-    Routed {
-        queues: &'a mut [EventQueue],
-        owner_node: &'a [u32],
-        stats: &'a mut SchedulerStats,
-    },
-}
-
-impl QueueRef<'_> {
-    fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
-        match self {
-            QueueRef::Single(q) => q.push_keyed(at, key, kind),
-            QueueRef::Routed {
-                queues,
-                owner_node,
-                stats,
-            } => {
-                let shard = owner_node[event_node(&kind).0] as usize;
-                queues[shard].push_keyed(at, key, kind);
-                stats.pushed += 1;
-            }
-        }
-    }
-
-    fn push_cancellable_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) -> TimerHandle {
-        match self {
-            QueueRef::Single(q) => q.push_cancellable_keyed(at, key, kind),
-            QueueRef::Routed {
-                queues,
-                owner_node,
-                stats,
-            } => {
-                let shard = owner_node[event_node(&kind).0] as usize;
-                stats.pushed += 1;
-                queues[shard].push_cancellable_keyed(at, key, kind)
-            }
-        }
-    }
-
-    /// Cancel a timer owned by `node`. Ownership is sticky, so the handle
-    /// always refers to the same shard queue's slab it was allocated from.
-    fn cancel(&mut self, node: NodeId, h: TimerHandle) -> bool {
-        match self {
-            QueueRef::Single(q) => q.cancel(h),
-            QueueRef::Routed {
-                queues,
-                owner_node,
-                stats,
-            } => {
-                let ok = queues[owner_node[node.0] as usize].cancel(h);
-                if ok {
-                    stats.cancelled += 1;
-                }
-                ok
-            }
-        }
-    }
-}
-
-impl EventSink for QueueRef<'_> {
-    fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
-        QueueRef::push_keyed(self, at, key, kind);
-    }
-}
-
-/// Sink used by worker-side private-segment transmits: pushes land on the
-/// shard's own queue and are tallied into the dispatching event's
-/// [`PushCounts`] for the canonical scheduler-ledger replay.
-struct CountingSink<'a> {
-    q: &'a mut EventQueue,
-    pushed: &'a mut u64,
-}
-
-impl EventSink for CountingSink<'_> {
-    fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
-        self.q.push_keyed(at, key, kind);
-        *self.pushed += 1;
-    }
-}
-
-/// Sink used when the coordinator applies a buffered border transmission:
-/// deliveries route to each receiver's shard, `msgs_in` counts the crossing
-/// per receiving shard, and the push total is recorded for the matching
-/// [`TxRecord`] (ledger pushes land at the `Op::BorderTx` replay point).
-struct BorderApplySink<'a> {
-    queues: &'a mut [EventQueue],
-    owner_node: &'a [u32],
-    stats: &'a mut [ShardStats],
-    pushed: u64,
-}
-
-impl EventSink for BorderApplySink<'_> {
-    fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
-        let shard = self.owner_node[event_node(&kind).0] as usize;
-        self.queues[shard].push_keyed(at, key, kind);
-        self.stats[shard].msgs_in += 1;
-        self.pushed += 1;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // NetCtx
 // ---------------------------------------------------------------------------
 
-/// The two execution modes behind [`NetCtx`]. `Direct` is the serial /
-/// coordinator path: observers (trace, invariants, pcap) run inline.
-/// `Worker` is the sharded path: pushes go to the shard's own queue,
-/// metrics go to the shard's registry (commutative, merged at run end),
-/// and every non-commutative observer effect is recorded as an [`Op`] for
-/// the coordinator to replay in canonical `(time, round, key)` order.
-enum CtxInner<'a, 'w> {
-    Direct {
-        queue: QueueRef<'a>,
-        segments: &'a [Segment],
-        seg_states: &'a mut [SegState],
-        rng: &'a mut StdRng,
-        seq: &'a mut u64,
-        trace: &'a mut PacketTrace,
-        metrics: &'a mut MetricsRegistry,
-        invariants: &'a mut InvariantMonitor,
-        pcap: &'a mut Option<crate::wire::pcap::PcapWriter<Box<dyn std::io::Write>>>,
-    },
-    Worker {
-        queue: &'a mut EventQueue,
-        counts: &'a mut PushCounts,
-        ops: &'a mut Vec<Op>,
-        segments: &'w [Segment],
-        seg_states: &'a mut Vec<&'w mut SegState>,
-        seg_slot: &'w [u32],
-        border: &'w [bool],
-        rng: &'a mut StdRng,
-        seq: &'a mut u64,
-        metrics: &'a mut MetricsRegistry,
-        inv_enabled: bool,
-        trace_on: bool,
-        pcap_on: bool,
-    },
-}
-
 /// The per-event context handed to devices: the only way they can touch the
 /// world (transmit frames, set timers, draw randomness, write traces).
-pub struct NetCtx<'a, 'w> {
+/// Observers (trace, metrics, invariants, pcap) run inline.
+pub struct NetCtx<'a> {
     /// Current simulated time.
     pub now: SimTime,
     /// The node being dispatched.
     pub node: NodeId,
-    inner: CtxInner<'a, 'w>,
+    queue: &'a mut EventQueue,
+    segments: &'a [Segment],
+    seg_states: &'a mut [SegState],
+    rng: &'a mut StdRng,
+    seq: &'a mut u64,
+    trace: &'a mut PacketTrace,
+    metrics: &'a mut MetricsRegistry,
+    invariants: &'a mut InvariantMonitor,
+    pcap: &'a mut Option<crate::wire::pcap::PcapWriter<Box<dyn std::io::Write>>>,
 }
 
-impl NetCtx<'_, '_> {
+impl NetCtx<'_> {
     /// Put a frame on a segment from this node's `iface`.
     pub fn transmit(
         &mut self,
@@ -301,165 +159,65 @@ impl NetCtx<'_, '_> {
     pub fn transmit_raw(&mut self, seg: SegmentId, iface: IfaceNo, frame: Bytes) -> FaultOutcome {
         let _prof = crate::profile::scope("link/transmit");
         let now = self.now;
-        let node = self.node;
-        match &mut self.inner {
-            CtxInner::Direct {
-                queue,
-                segments,
-                seg_states,
-                metrics,
-                invariants,
-                pcap,
-                ..
-            } => {
-                // Snapshot link-metric inputs before the transmit mutates
-                // the segment's committed-until time.
-                let (queue_wait, serialize) = if metrics.enabled() {
-                    let st = &seg_states[seg.0];
-                    (
-                        st.backlog(now),
-                        segments[seg.0].config.serialize_time(frame.len()),
-                    )
-                } else {
-                    (SimDuration::ZERO, SimDuration::ZERO)
-                };
-                let wire_len = frame.len();
-                let outcome = segments[seg.0].transmit(
-                    &mut seg_states[seg.0],
-                    (node, iface),
-                    frame.clone(),
-                    now,
-                    queue,
-                );
-                metrics.record_transmit(seg, wire_len, queue_wait, serialize, outcome);
-                if matches!(outcome, FaultOutcome::Drop | FaultOutcome::Corrupt) {
-                    // Whatever packet the frame carried is attributably lost
-                    // on the wire, not leaked — the conservation monitor's
-                    // ledger.
-                    invariants.note_wire_loss();
-                } else if invariants.enabled() && frame.len() >= 6 {
-                    // A frame unicast to a MAC no longer on this wire (stale
-                    // ARP after a handoff, a vanished care-of address) is
-                    // ignored by every NIC and dies here — attributable, not
-                    // leaked.
-                    let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
-                    if !dst.is_broadcast()
-                        && !dst.is_multicast()
-                        && !segments[seg.0].mac_attached(dst)
-                    {
-                        invariants.note_unclaimed_frame();
-                    }
-                }
-                if outcome != FaultOutcome::Drop {
-                    if let Some(pcap) = pcap.as_mut() {
-                        // Capture what was put on the wire (post fault
-                        // injection is not observable here; the sender's view
-                        // is what tcpdump on the sender would show).
-                        let _ = pcap.write_frame(now, &frame);
-                    }
-                }
-                outcome
-            }
-            CtxInner::Worker {
-                queue,
-                counts,
-                ops,
-                segments,
-                seg_states,
-                seg_slot,
-                border,
-                metrics,
-                inv_enabled,
-                pcap_on,
-                ..
-            } => {
-                if border[seg.0] {
-                    // Cross-shard wire: buffer the transmission for the
-                    // coordinator. The outcome is predictable without
-                    // touching the medium — border segments are fault-free
-                    // by construction (the partitioner collapses faulty
-                    // segments into one shard), so only oversize frames
-                    // drop.
-                    let max_frame =
-                        segments[seg.0].config.mtu + crate::wire::ethernet::ETHERNET_HEADER_LEN;
-                    let outcome = if frame.len() > max_frame {
-                        FaultOutcome::Drop
-                    } else {
-                        FaultOutcome::Deliver
-                    };
-                    ops.push(Op::BorderTx {
-                        seg: seg.0,
-                        iface,
-                        frame,
-                    });
-                    return outcome;
-                }
-                let st = &mut *seg_states[seg_slot[seg.0] as usize];
-                let (queue_wait, serialize) = if metrics.enabled() {
-                    (
-                        st.backlog(now),
-                        segments[seg.0].config.serialize_time(frame.len()),
-                    )
-                } else {
-                    (SimDuration::ZERO, SimDuration::ZERO)
-                };
-                let wire_len = frame.len();
-                let outcome = segments[seg.0].transmit(
-                    st,
-                    (node, iface),
-                    frame.clone(),
-                    now,
-                    &mut CountingSink {
-                        q: queue,
-                        pushed: &mut counts.pushed,
-                    },
-                );
-                metrics.record_transmit(seg, wire_len, queue_wait, serialize, outcome);
-                if matches!(outcome, FaultOutcome::Drop | FaultOutcome::Corrupt) {
-                    if *inv_enabled {
-                        ops.push(Op::WireLoss);
-                    }
-                } else if *inv_enabled && frame.len() >= 6 {
-                    let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
-                    if !dst.is_broadcast()
-                        && !dst.is_multicast()
-                        && !segments[seg.0].mac_attached(dst)
-                    {
-                        ops.push(Op::UnclaimedFrame);
-                    }
-                }
-                if outcome != FaultOutcome::Drop && *pcap_on {
-                    ops.push(Op::Pcap { frame });
-                }
-                outcome
+        let segment = &self.segments[seg.0];
+        // Snapshot link-metric inputs before the transmit mutates the
+        // segment's committed-until time.
+        let (queue_wait, serialize) = if self.metrics.enabled() {
+            (
+                self.seg_states[seg.0].backlog(now),
+                segment.config.serialize_time(frame.len()),
+            )
+        } else {
+            (SimDuration::ZERO, SimDuration::ZERO)
+        };
+        let wire_len = frame.len();
+        let outcome = segment.transmit(
+            &mut self.seg_states[seg.0],
+            (self.node, iface),
+            frame.clone(),
+            now,
+            self.queue,
+        );
+        self.metrics
+            .record_transmit(seg, wire_len, queue_wait, serialize, outcome);
+        if matches!(outcome, FaultOutcome::Drop | FaultOutcome::Corrupt) {
+            // Whatever packet the frame carried is attributably lost on the
+            // wire, not leaked — the conservation monitor's ledger.
+            self.invariants.note_wire_loss();
+        } else if self.invariants.enabled() && frame.len() >= 6 {
+            // A frame unicast to a MAC no longer on this wire (stale ARP
+            // after a handoff, a vanished care-of address) is ignored by
+            // every NIC and dies here — attributable, not leaked.
+            let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
+            if !dst.is_broadcast() && !dst.is_multicast() && !segment.mac_attached(dst) {
+                self.invariants.note_unclaimed_frame();
             }
         }
+        if outcome != FaultOutcome::Drop {
+            if let Some(pcap) = self.pcap.as_mut() {
+                // Capture what was put on the wire (post fault injection is
+                // not observable here; the sender's view is what tcpdump on
+                // the sender would show).
+                let _ = pcap.write_frame(now, &frame);
+            }
+        }
+        outcome
     }
 
     /// Schedule a timer for this node. The returned handle cancels it in
     /// O(1) via [`NetCtx::cancel_timer`]; callers that never cancel can
     /// drop the handle freely. Timer events carry `(node lane, seq)` keys,
-    /// so equal-timestamp ordering is identical however the world is
-    /// sharded.
+    /// so equal-timestamp order is a function of topology and traffic, not
+    /// of push order.
     pub fn set_timer(&mut self, after: SimDuration, token: TimerToken) -> TimerHandle {
         let node = self.node;
-        let at = self.now + after;
-        let kind = EventKind::Timer(Timer { node, token });
-        match &mut self.inner {
-            CtxInner::Direct { queue, seq, .. } => {
-                let key = lane_key(node_lane(node), **seq);
-                **seq += 1;
-                queue.push_cancellable_keyed(at, key, kind)
-            }
-            CtxInner::Worker {
-                queue, counts, seq, ..
-            } => {
-                let key = lane_key(node_lane(node), **seq);
-                **seq += 1;
-                counts.pushed += 1;
-                queue.push_cancellable_keyed(at, key, kind)
-            }
-        }
+        let key = lane_key(node_lane(node), *self.seq);
+        *self.seq += 1;
+        self.queue.push_cancellable_keyed(
+            self.now + after,
+            key,
+            EventKind::Timer(Timer { node, token }),
+        )
     }
 
     /// Cancel a timer set with [`NetCtx::set_timer`]. Returns `false`
@@ -468,68 +226,27 @@ impl NetCtx<'_, '_> {
     /// loop's in-flight batch, in which case it still fires — so handlers
     /// keep their stale-timer guards as a second line of defence.
     pub fn cancel_timer(&mut self, h: TimerHandle) -> bool {
-        let node = self.node;
-        match &mut self.inner {
-            CtxInner::Direct { queue, .. } => queue.cancel(node, h),
-            CtxInner::Worker { queue, counts, .. } => {
-                let ok = queue.cancel(h);
-                if ok {
-                    counts.cancelled += 1;
-                }
-                ok
-            }
-        }
+        self.queue.cancel(h)
     }
 
     /// MTU of a segment (IP bytes per frame).
     pub fn segment_mtu(&self, seg: SegmentId) -> usize {
-        match &self.inner {
-            CtxInner::Direct { segments, .. } => segments[seg.0].config.mtu,
-            CtxInner::Worker { segments, .. } => segments[seg.0].config.mtu,
-        }
+        self.segments[seg.0].config.mtu
     }
 
     /// This node's deterministic RNG (fault injection, workloads). Streams
-    /// are per-node, so draws are independent of dispatch interleaving.
+    /// are per-node, so one node's draws never shift another's.
     pub fn rng(&mut self) -> &mut StdRng {
-        match &mut self.inner {
-            CtxInner::Direct { rng, .. } => rng,
-            CtxInner::Worker { rng, .. } => rng,
-        }
+        self.rng
     }
 
     /// Record a trace event for `pkt` at this node. Also feeds the metrics
     /// registry: this is the one choke point every send / forward /
     /// delivery / drop flows through.
     pub fn trace_packet(&mut self, kind: TraceEventKind, pkt: &Ipv4Packet) {
-        let (now, node) = (self.now, self.node);
-        match &mut self.inner {
-            CtxInner::Direct {
-                trace,
-                metrics,
-                invariants,
-                ..
-            } => {
-                trace.record(now, node, kind, pkt);
-                metrics.record_packet(node, kind, pkt);
-                invariants.record_packet(kind, pkt);
-            }
-            CtxInner::Worker {
-                ops,
-                metrics,
-                inv_enabled,
-                trace_on,
-                ..
-            } => {
-                metrics.record_packet(node, kind, pkt);
-                if *trace_on || *inv_enabled {
-                    ops.push(Op::Trace {
-                        kind,
-                        pkt: pkt.clone(),
-                    });
-                }
-            }
-        }
+        self.trace.record(self.now, self.node, kind, pkt);
+        self.metrics.record_packet(self.node, kind, pkt);
+        self.invariants.record_packet(kind, pkt);
     }
 
     /// Record that `child` was produced from `parent` by `kind` at this
@@ -545,45 +262,17 @@ impl NetCtx<'_, '_> {
         parent: Option<&Ipv4Packet>,
         child: &Ipv4Packet,
     ) {
-        let (now, node) = (self.now, self.node);
-        match &mut self.inner {
-            CtxInner::Direct {
-                trace,
-                metrics,
-                invariants,
-                ..
-            } => {
-                trace.record_transform(now, node, kind, parent, child);
-                metrics.record_packet(node, TraceEventKind::Transformed(kind), child);
-                invariants.record_transform(parent, child);
-            }
-            CtxInner::Worker {
-                ops,
-                metrics,
-                inv_enabled,
-                trace_on,
-                ..
-            } => {
-                metrics.record_packet(node, TraceEventKind::Transformed(kind), child);
-                if *trace_on || *inv_enabled {
-                    ops.push(Op::Transform {
-                        kind,
-                        parent: parent.cloned(),
-                        child: child.clone(),
-                    });
-                }
-            }
-        }
+        self.trace
+            .record_transform(self.now, self.node, kind, parent, child);
+        self.metrics
+            .record_packet(self.node, TraceEventKind::Transformed(kind), child);
+        self.invariants.record_transform(parent, child);
     }
 
     /// The metrics registry — how the transport layer records TCP and UDP
-    /// counters against the node being dispatched. On a worker this is the
-    /// shard's registry; counters are commutative and merge at run end.
+    /// counters against the node being dispatched.
     pub fn metrics(&mut self) -> &mut MetricsRegistry {
-        match &mut self.inner {
-            CtxInner::Direct { metrics, .. } => metrics,
-            CtxInner::Worker { metrics, .. } => metrics,
-        }
+        self.metrics
     }
 
     /// Flag an anomaly on the conversation between `a` and `b` over
@@ -592,90 +281,41 @@ impl NetCtx<'_, '_> {
     /// denial or retry exhaustion), promoting the flow to full capture
     /// under flow sampling. No-op when sampling is off.
     pub fn flag_anomaly(&mut self, a: Ipv4Addr, b: Ipv4Addr, proto: crate::wire::ipv4::IpProtocol) {
-        match &mut self.inner {
-            CtxInner::Direct { trace, .. } => trace.promote_endpoints(a, b, proto),
-            CtxInner::Worker { ops, trace_on, .. } => {
-                if *trace_on {
-                    ops.push(Op::Promote { a, b, proto });
-                }
-            }
-        }
+        self.trace.promote_endpoints(a, b, proto);
     }
 
     /// Tell the conservation monitor a packet was parked in a link-layer
     /// pending queue (awaiting ARP); see [`InvariantMonitor::note_parked`].
     #[inline]
     pub fn note_parked(&mut self) {
-        match &mut self.inner {
-            CtxInner::Direct { invariants, .. } => invariants.note_parked(),
-            CtxInner::Worker {
-                ops, inv_enabled, ..
-            } => {
-                if *inv_enabled {
-                    ops.push(Op::Parked);
-                }
-            }
-        }
+        self.invariants.note_parked();
     }
 
     /// Tell the conservation monitor a parked packet left its pending
     /// queue (flushed or evicted).
     #[inline]
     pub fn note_unparked(&mut self) {
-        match &mut self.inner {
-            CtxInner::Direct { invariants, .. } => invariants.note_unparked(),
-            CtxInner::Worker {
-                ops, inv_enabled, ..
-            } => {
-                if *inv_enabled {
-                    ops.push(Op::Unparked);
-                }
-            }
-        }
+        self.invariants.note_unparked();
     }
 
     /// Whether the invariant monitors are on — lets hot paths skip the
     /// bookkeeping (e.g. a packet clone) feeding them.
     #[inline]
     pub fn invariants_enabled(&self) -> bool {
-        match &self.inner {
-            CtxInner::Direct { invariants, .. } => invariants.enabled(),
-            CtxInner::Worker { inv_enabled, .. } => *inv_enabled,
-        }
+        self.invariants.enabled()
     }
 
     /// Tell the conservation monitor a packet was consumed by a mobility
     /// hook before local delivery (no trace event fires for it).
     #[inline]
     pub fn note_consumed(&mut self, pkt: &Ipv4Packet) {
-        match &mut self.inner {
-            CtxInner::Direct { invariants, .. } => invariants.note_consumed(pkt),
-            CtxInner::Worker {
-                ops, inv_enabled, ..
-            } => {
-                if *inv_enabled {
-                    ops.push(Op::Consumed { pkt: pkt.clone() });
-                }
-            }
-        }
+        self.invariants.note_consumed(pkt);
     }
 
     /// Tell the conservation monitor a hook rewrote a packet's identity.
     #[inline]
     pub fn note_rewrite(&mut self, before: &Ipv4Packet, after: &Ipv4Packet) {
-        match &mut self.inner {
-            CtxInner::Direct { invariants, .. } => invariants.note_rewrite(before, after),
-            CtxInner::Worker {
-                ops, inv_enabled, ..
-            } => {
-                if *inv_enabled {
-                    ops.push(Op::Rewrite {
-                        before: before.clone(),
-                        after: after.clone(),
-                    });
-                }
-            }
-        }
+        self.invariants.note_rewrite(before, after);
     }
 }
 
@@ -694,17 +334,17 @@ pub struct World {
     /// `(node lane, seq)` key. Follows `nodes` index-for-index.
     node_seq: Vec<u64>,
     /// Per-node deterministic RNGs, seeded from the world seed and the node
-    /// id — streams are independent of dispatch interleaving, so sharded
-    /// and serial runs draw identically.
+    /// id — a node's draws never depend on how other nodes' events
+    /// interleave with its own.
     node_rng: Vec<StdRng>,
     segments: Vec<Segment>,
     /// Mutable link state (medium occupancy, stats, fault RNG), parallel
-    /// to `segments`; split out so shards can own their private media.
+    /// to `segments`; split out so a [`NetCtx`] can mutate the medium
+    /// while sharing the immutable segment descriptions.
     seg_states: Vec<SegState>,
     queue: EventQueue,
     now: SimTime,
     seed: u64,
-    sched_kind: SchedulerKind,
     /// The packet trace; enabled by default.
     pub trace: PacketTrace,
     /// Aggregate counters; disabled by default (near-zero cost), enabled
@@ -716,44 +356,18 @@ pub struct World {
     pub invariants: InvariantMonitor,
     next_mac: u32,
     pcap: Option<crate::wire::pcap::PcapWriter<Box<dyn std::io::Write>>>,
-    /// Reusable same-timestamp batch buffer for the serial run loops —
-    /// drained every batch, so the allocation is made once per world.
+    /// Reusable same-timestamp batch buffer for the run loop — drained
+    /// every batch, so the allocation is made once per world.
     batch: Vec<Event>,
     /// Periodic gauge sampler; absent (one branch per batch) until
     /// [`World::enable_sampling`].
     sampler: Option<Box<crate::profile::TimeSeries>>,
-    /// How many shards the caller asked for; the runtime clamps to the
-    /// segment count. 1 = serial.
-    shards_requested: usize,
-    /// Permanently degraded to serial: set when the sharded runtime would
-    /// have to be created while cancellable timer handles minted by the
-    /// serial queue are still live (their slab identity cannot survive the
-    /// migration).
-    serial_locked: bool,
-    /// The sharded runtime; `None` until first needed (or never, when
-    /// `shards_requested <= 1`).
-    rt: Option<Runtime>,
-    /// Same-timestamp batch being served one event at a time by
-    /// [`World::step`] in sharded mode: the canonical global round, loaded
-    /// whole so round precedence matches the serial scheduler.
-    step_batch: std::collections::VecDeque<Event>,
 }
 
 impl World {
     /// Create a world with a deterministic RNG seed, using the process-wide
-    /// default scheduler (see [`crate::event::set_default_scheduler`]) and
-    /// the process-wide default shard count (see
-    /// [`crate::shard::set_default_shards`]).
+    /// default scheduler (see [`crate::event::set_default_scheduler`]).
     pub fn new(seed: u64) -> World {
-        World::with_shards(seed, crate::shard::default_shards())
-    }
-
-    /// Create a world that runs its event loop on `shards` shards
-    /// (clamped to the segment count; 1 = serial). Sharded runs are
-    /// byte-identical to serial runs — reports, metrics, traces and pcaps
-    /// included — so the only observable difference is wall-clock time.
-    pub fn with_shards(seed: u64, shards: usize) -> World {
-        let kind = crate::event::default_scheduler();
         World {
             nodes: Vec::new(),
             node_syms: Vec::new(),
@@ -761,10 +375,9 @@ impl World {
             node_rng: Vec::new(),
             segments: Vec::new(),
             seg_states: Vec::new(),
-            queue: EventQueue::with_kind(kind),
+            queue: EventQueue::with_kind(crate::event::default_scheduler()),
             now: SimTime::ZERO,
             seed,
-            sched_kind: kind,
             trace: PacketTrace::new(true),
             metrics: MetricsRegistry::new(false),
             invariants: InvariantMonitor::new(),
@@ -772,10 +385,6 @@ impl World {
             pcap: None,
             batch: Vec::new(),
             sampler: None,
-            shards_requested: shards.max(1),
-            serial_locked: false,
-            rt: None,
-            step_batch: std::collections::VecDeque::new(),
         }
     }
 
@@ -789,11 +398,6 @@ impl World {
     /// back goes through [`World::metrics`].
     pub fn enable_metrics(&mut self) {
         self.metrics.set_enabled(true);
-        if let Some(rt) = &mut self.rt {
-            for m in &mut rt.shard_metrics {
-                m.set_enabled(true);
-            }
-        }
     }
 
     /// Start the online invariant monitors (packet conservation,
@@ -820,17 +424,10 @@ impl World {
         self.invariants.set_enabled(true);
     }
 
-    /// The scheduler ledger the invariant monitors reconcile against: in
-    /// serial mode the queue's own counters; in sharded mode the global
-    /// ledger the coordinator reconstructs in canonical replay order.
+    /// The scheduler ledger the invariant monitors reconcile against: the
+    /// queue's counters and its pending-event count.
     fn sched_ledger(&self) -> (SchedulerStats, u64) {
-        match &self.rt {
-            Some(rt) => {
-                let s = rt.sim_stats;
-                (s, s.pushed - s.dispatched - s.cancelled)
-            }
-            None => (self.queue.stats(), self.queue.len() as u64),
-        }
+        (self.queue.stats(), self.queue.len() as u64)
     }
 
     /// The invariant monitors' run-report section: counters plus every
@@ -915,9 +512,6 @@ impl World {
         seg.rng_seed = segment_seed(self.seed, s);
         self.segments.push(seg);
         self.seg_states.push(SegState::default());
-        if let Some(rt) = &mut self.rt {
-            rt.topo_dirty = true;
-        }
         SegmentId(s)
     }
 
@@ -949,12 +543,6 @@ impl World {
         m
     }
 
-    fn mark_topo_dirty(&mut self) {
-        if let Some(rt) = &mut self.rt {
-            rt.topo_dirty = true;
-        }
-    }
-
     /// Create a new interface on `node`, attach it to `seg`, and optionally
     /// configure an address ("171.64.15.9/24"-style).
     pub fn attach(&mut self, node: NodeId, seg: SegmentId, addr: Option<&str>) -> IfaceNo {
@@ -969,7 +557,6 @@ impl World {
         n.invalidate_route_cache();
         self.segments[seg.0].attach(node, iface);
         self.segments[seg.0].register_mac(node, iface, mac);
-        self.mark_topo_dirty();
         iface
     }
 
@@ -984,7 +571,6 @@ impl World {
         n.invalidate_route_cache();
         self.segments[seg.0].attach(node, iface);
         self.segments[seg.0].register_mac(node, iface, mac);
-        self.mark_topo_dirty();
     }
 
     /// Unplug an interface from whatever segment it is on.
@@ -994,7 +580,6 @@ impl World {
             self.segments[old.0].detach(node, iface);
             n.nic_mut().set_segment(iface, None, 1500);
             n.invalidate_route_cache();
-            self.mark_topo_dirty();
         }
     }
 
@@ -1035,46 +620,17 @@ impl World {
     }
 
     /// Mutably borrow a segment's parameters (tests change fault rates).
-    /// Marks the shard topology dirty: a fault config can legalize or
-    /// outlaw a shard border.
     pub fn segment_config_mut(&mut self, seg: SegmentId) -> &mut LinkConfig {
-        self.mark_topo_dirty();
         &mut self.segments[seg.0].config
     }
 
     /// Run `f` against a host with a live [`NetCtx`] — how tests, examples
     /// and the mobility layer inject work into the simulation.
     pub fn host_do<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Host, &mut NetCtx) -> R) -> R {
-        self.ensure_runtime();
         let mut node = self.nodes[id.0].take().expect("node present");
-        let queue = match &mut self.rt {
-            Some(rt) => QueueRef::Routed {
-                queues: &mut rt.queues,
-                owner_node: &rt.owner_node,
-                stats: &mut rt.sim_stats,
-            },
-            None => QueueRef::Single(&mut self.queue),
-        };
-        let r = {
-            let mut ctx = NetCtx {
-                now: self.now,
-                node: id,
-                inner: CtxInner::Direct {
-                    queue,
-                    segments: &self.segments,
-                    seg_states: &mut self.seg_states,
-                    rng: &mut self.node_rng[id.0],
-                    seq: &mut self.node_seq[id.0],
-                    trace: &mut self.trace,
-                    metrics: &mut self.metrics,
-                    invariants: &mut self.invariants,
-                    pcap: &mut self.pcap,
-                },
-            };
-            match &mut node {
-                Node::Host(h) => f(h, &mut ctx),
-                Node::Router(_) => panic!("node {} is a router", id.0),
-            }
+        let r = match &mut node {
+            Node::Host(h) => f(h, &mut self.ctx(id)),
+            Node::Router(_) => panic!("node {} is a router", id.0),
         };
         self.nodes[id.0] = Some(node);
         r
@@ -1082,108 +638,40 @@ impl World {
 
     /// Schedule an immediate application poll on `node` (bootstraps apps).
     pub fn poll_soon(&mut self, node: NodeId) {
-        self.ensure_runtime();
         let key = lane_key(node_lane(node), self.node_seq[node.0]);
         self.node_seq[node.0] += 1;
         let kind = EventKind::Timer(Timer {
             node,
             token: token(NS_APPS, 0),
         });
-        match &mut self.rt {
-            Some(rt) => {
-                rt.queues[rt.owner_node[node.0] as usize].push_keyed(self.now, key, kind);
-                rt.sim_stats.pushed += 1;
-            }
-            None => self.queue.push_keyed(self.now, key, kind),
-        }
-    }
-
-    // ---- sharded runtime --------------------------------------------------
-
-    /// Topology views the shard partitioner consumes: per-segment configs,
-    /// per-segment attached node ids (deduplicated, ascending), and the
-    /// inverse per-node segment lists.
-    fn topo_views(&self) -> (Vec<LinkConfig>, Vec<Vec<usize>>, Vec<Vec<usize>>) {
-        let seg_cfgs: Vec<LinkConfig> = self.segments.iter().map(|s| s.config).collect();
-        let seg_nodes: Vec<Vec<usize>> = self
-            .segments
-            .iter()
-            .map(|s| {
-                let mut v: Vec<usize> = s.attachments().iter().map(|&(n, _)| n.0).collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            })
-            .collect();
-        let mut node_segs: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
-        for (s, nodes) in seg_nodes.iter().enumerate() {
-            for &n in nodes {
-                node_segs[n].push(s);
-            }
-        }
-        (seg_cfgs, seg_nodes, node_segs)
-    }
-
-    /// Create or refresh the sharded runtime. A no-op when sharding is off
-    /// (one shard requested, fewer than two segments, or permanently
-    /// locked serial). On creation the serial queue's contents migrate to
-    /// the shard queues — refused (with a warning, once) if cancellable
-    /// timer handles are still live, since their slab identity cannot
-    /// survive the migration.
-    fn ensure_runtime(&mut self) {
-        if self.shards_requested <= 1 || self.serial_locked {
-            return;
-        }
-        if let Some(rt) = &mut self.rt {
-            if rt.topo_dirty || rt.owner_node.len() != self.nodes.len() {
-                let (cfgs, seg_nodes, node_segs) = {
-                    let s = &*self;
-                    s.topo_views()
-                };
-                self.rt
-                    .as_mut()
-                    .expect("runtime present")
-                    .refresh(&cfgs, &seg_nodes, &node_segs);
-            }
-            return;
-        }
-        if self.segments.len() < 2 {
-            return;
-        }
-        if self.queue.live_cancellable() > 0 {
-            self.serial_locked = true;
-            eprintln!(
-                "netsim: sharding disabled for this world: cancellable timers \
-                 predate the sharded runtime; running serial"
-            );
-            return;
-        }
-        let (cfgs, seg_nodes, node_segs) = self.topo_views();
-        let mut rt = Runtime::partition(
-            self.shards_requested,
-            self.sched_kind,
-            self.metrics.enabled(),
-            &cfgs,
-            &seg_nodes,
-            &node_segs,
-        );
-        // Seed the global scheduler ledger from the serial queue *before*
-        // draining it (popping counts into `dispatched`).
-        rt.sim_stats = self.queue.stats();
-        while let Some(ev) = self.queue.pop() {
-            let shard = rt.owner_node[event_node(&ev.kind).0] as usize;
-            rt.queues[shard].push_keyed(ev.at, ev.seq, ev.kind);
-        }
-        self.rt = Some(rt);
+        self.queue.push_keyed(self.now, key, kind);
     }
 
     // ---- event loop -----------------------------------------------------------
 
+    /// The [`NetCtx`] view over the world for one event addressed to
+    /// `node`. The node itself is taken out of `nodes` by the caller, so
+    /// the context and the node borrow disjoint state.
+    #[inline]
+    fn ctx(&mut self, node: NodeId) -> NetCtx<'_> {
+        NetCtx {
+            now: self.now,
+            node,
+            queue: &mut self.queue,
+            segments: &self.segments,
+            seg_states: &mut self.seg_states,
+            rng: &mut self.node_rng[node.0],
+            seq: &mut self.node_seq[node.0],
+            trace: &mut self.trace,
+            metrics: &mut self.metrics,
+            invariants: &mut self.invariants,
+            pcap: &mut self.pcap,
+        }
+    }
+
     /// Fire one already-popped event: route it to the owning node with a
-    /// fresh [`NetCtx`] view over the world. Events route to the serial
-    /// queue or the shard queues depending on whether the sharded runtime
-    /// exists. Shared by every coordinator-side dispatch path (serial run
-    /// loops, merged mode, single-step).
+    /// fresh [`NetCtx`] view over the world. Shared by the batch run loop
+    /// and [`World::step`].
     fn dispatch(&mut self, kind: EventKind) {
         let (node, iface_frame, token) = match kind {
             EventKind::Deliver { node, iface, frame } => (node, Some((iface, frame)), None),
@@ -1206,29 +694,7 @@ impl World {
                 return;
             }
         }
-        let queue = match &mut self.rt {
-            Some(rt) => QueueRef::Routed {
-                queues: &mut rt.queues,
-                owner_node: &rt.owner_node,
-                stats: &mut rt.sim_stats,
-            },
-            None => QueueRef::Single(&mut self.queue),
-        };
-        let mut ctx = NetCtx {
-            now: self.now,
-            node,
-            inner: CtxInner::Direct {
-                queue,
-                segments: &self.segments,
-                seg_states: &mut self.seg_states,
-                rng: &mut self.node_rng[node.0],
-                seq: &mut self.node_seq[node.0],
-                trace: &mut self.trace,
-                metrics: &mut self.metrics,
-                invariants: &mut self.invariants,
-                pcap: &mut self.pcap,
-            },
-        };
+        let mut ctx = self.ctx(node);
         match (iface_frame, token) {
             (Some((iface, frame)), _) => n.on_frame(&mut ctx, iface, &frame),
             (None, Some(token)) => n.on_timer(&mut ctx, token),
@@ -1237,109 +703,24 @@ impl World {
         self.nodes[node.0] = Some(n);
     }
 
-    /// Load the next canonical global round into `step_batch`: the merged,
-    /// seq-sorted union of every shard queue's batch at the globally
-    /// minimal timestamp. Returns `false` when all queues are empty.
-    fn load_step_batch(&mut self) -> bool {
-        let rt = self.rt.as_mut().expect("runtime present");
-        let mut buf: Vec<Event> = Vec::new();
-        loop {
-            let Some(tmin) = rt.queues.iter().filter_map(|q| q.min_time()).min() else {
-                return false;
-            };
-            for q in &mut rt.queues {
-                let _ = q.pop_batch_until(tmin, &mut buf);
-            }
-            if !buf.is_empty() {
-                break;
-            }
-            // `tmin` was a tombstone-only bound; the probe reaped it, retry.
-        }
-        buf.sort_by_key(|e| e.seq);
-        self.step_batch.extend(buf);
-        true
-    }
-
     /// Process one event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         let _prof = crate::profile::scope("world/step");
-        self.ensure_runtime();
-        if self.rt.is_none() {
-            let Some(Event { at, kind, .. }) = self.queue.pop() else {
-                return false;
-            };
-            debug_assert!(at >= self.now, "time went backwards");
-            self.now = at;
-            if self.sampler.is_some() {
-                self.maybe_sample();
-            }
-            if self.invariants.enabled() {
-                let stats = self.queue.stats();
-                let pending = self.queue.len() as u64;
-                self.invariants.check_scheduler(self.now, &stats, pending);
-            }
-            self.dispatch(kind);
-            return true;
-        }
-        if self.step_batch.is_empty() && !self.load_step_batch() {
+        let Some(Event { at, kind, .. }) = self.queue.pop() else {
             return false;
-        }
-        let Event { at, kind, .. } = self.step_batch.pop_front().expect("non-empty batch");
+        };
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         if self.sampler.is_some() {
-            self.maybe_sample_sharded();
+            self.maybe_sample();
         }
-        // Count the served event into the ledger first: unserved batch
-        // leftovers then still count as pending, exactly like the serial
-        // queue which pops one event at a time.
-        self.rt
-            .as_mut()
-            .expect("runtime present")
-            .sim_stats
-            .dispatched += 1;
         if self.invariants.enabled() {
-            let (stats, pending) = self.sched_ledger();
+            let stats = self.queue.stats();
+            let pending = self.queue.len() as u64;
             self.invariants.check_scheduler(self.now, &stats, pending);
         }
         self.dispatch(kind);
         true
-    }
-
-    /// Dispatch whatever remains of an in-flight [`World::step`] round
-    /// before a batch run starts, merged with any same-timestamp events the
-    /// served steps already pushed — reconstructing exactly the batch the
-    /// serial scheduler would pop next.
-    fn flush_step_batch(&mut self) {
-        if self.step_batch.is_empty() {
-            return;
-        }
-        let t0 = self.step_batch.front().expect("non-empty").at;
-        let mut buf: Vec<Event> = self.step_batch.drain(..).collect();
-        {
-            let rt = self.rt.as_mut().expect("step batch implies runtime");
-            for q in &mut rt.queues {
-                let _ = q.pop_batch_until(t0, &mut buf);
-            }
-        }
-        buf.sort_by_key(|e| e.seq);
-        let n = buf.len() as u64;
-        self.now = t0;
-        if self.sampler.is_some() {
-            self.maybe_sample_sharded();
-        }
-        self.rt
-            .as_mut()
-            .expect("runtime present")
-            .sim_stats
-            .dispatched += n;
-        if self.invariants.enabled() {
-            let (stats, pending) = self.sched_ledger();
-            self.invariants.check_scheduler(self.now, &stats, pending);
-        }
-        for Event { kind, .. } in buf {
-            self.dispatch(kind);
-        }
     }
 
     /// Run until the queue is empty or simulated time reaches `deadline`.
@@ -1347,10 +728,9 @@ impl World {
     /// Events are drained in same-timestamp batches: one queue probe pulls
     /// everything scheduled for the next instant (and decides the deadline
     /// check), instead of a peek *and* a pop per event. Events a batch
-    /// schedules at the same instant get sequence numbers after the batch
-    /// and are picked up by the next probe, so dispatch order is exactly
-    /// the (time, seq) order of the one-at-a-time path — and, with more
-    /// than one shard, exactly the serial order (see [`World::with_shards`]).
+    /// schedules at the same instant are picked up by the next probe, so
+    /// dispatch order is exactly the `(time, key)` order of the
+    /// one-at-a-time path ([`World::step`]).
     pub fn run_until(&mut self, deadline: SimTime) {
         self.run_driven(deadline, None);
         self.now = self.now.max(deadline);
@@ -1369,68 +749,14 @@ impl World {
         self.run_driven(SimTime(u64::MAX), Some(limit as u64));
     }
 
-    /// The shared driver behind [`World::run_until`] and
-    /// [`World::run_until_idle`]: serial when sharding is off; otherwise
-    /// the conservative parallel protocol, or — when a topology constraint
-    /// or order-sensitive telemetry rules out deferred replay — the merged
-    /// fallback that still uses the shard queues but dispatches every
-    /// global batch inline in canonical order.
+    /// The event loop behind [`World::run_until`] and
+    /// [`World::run_until_idle`]. Gives back burst capacity once the run
+    /// has drained: scheduler bucket vectors (and the dispatch batch
+    /// buffer) grow to the largest same-instant fan-out they ever carried
+    /// — a broadcast storm on one big LAN — and would otherwise hold that
+    /// high-water mark forever.
     fn run_driven(&mut self, deadline: SimTime, limit: Option<u64>) {
         let _prof = crate::profile::scope("world/run");
-        self.ensure_runtime();
-        if self.rt.is_none() {
-            self.run_serial(deadline, limit);
-            self.shrink_after_run();
-            return;
-        }
-        self.flush_step_batch();
-        let merged = {
-            let rt = self.rt.as_ref().expect("runtime present");
-            rt.degraded.is_some() || self.metrics.sketch_armed()
-        };
-        if merged {
-            let rt = self.rt.as_mut().expect("runtime present");
-            if !rt.warned {
-                rt.warned = true;
-                let why = rt
-                    .degraded
-                    .unwrap_or("sketched metrics are dispatch-order-sensitive");
-                eprintln!("netsim: sharded run degraded to merged in-order dispatch: {why}");
-            }
-            self.run_merged(deadline, limit);
-        } else {
-            self.run_sharded(deadline, limit);
-        }
-        // Fold the shards' commutative counters into the world registry so
-        // readers see one coherent view between runs.
-        if let Some(rt) = &mut self.rt {
-            let enabled = self.metrics.enabled();
-            for m in &mut rt.shard_metrics {
-                self.metrics.merge(m);
-                *m = MetricsRegistry::new(enabled);
-            }
-        }
-        self.shrink_after_run();
-    }
-
-    /// Give back burst capacity once a run has drained: scheduler bucket
-    /// vectors (and the dispatch batch buffer) grow to the largest
-    /// same-instant fan-out they ever carried — a broadcast storm on one
-    /// big LAN — and would otherwise hold that high-water mark forever.
-    fn shrink_after_run(&mut self) {
-        self.queue.shrink();
-        if let Some(rt) = &mut self.rt {
-            for q in &mut rt.queues {
-                q.shrink();
-            }
-        }
-        if self.batch.is_empty() && self.batch.capacity() > 32 {
-            self.batch = Vec::new();
-        }
-    }
-
-    /// The serial event loop (exactly the pre-sharding hot path).
-    fn run_serial(&mut self, deadline: SimTime, limit: Option<u64>) {
         let mut batch = std::mem::take(&mut self.batch);
         let mut dispatched = 0u64;
         loop {
@@ -1466,518 +792,33 @@ impl World {
                 self.dispatch(kind);
             }
         }
-        self.batch = batch;
-    }
-
-    /// Merged fallback: events live in the shard queues, but every global
-    /// same-timestamp batch is popped, seq-merged and dispatched inline by
-    /// the coordinator — the exact serial order, with observers running
-    /// inline. Used when deferred replay is unsound (faulty or zero-latency
-    /// border, order-sensitive sketched metrics).
-    fn run_merged(&mut self, deadline: SimTime, limit: Option<u64>) {
-        let mut dispatched = 0u64;
-        let mut buf: Vec<Event> = Vec::new();
-        loop {
-            let tmin = {
-                let rt = self.rt.as_ref().expect("runtime present");
-                rt.queues.iter().filter_map(|q| q.min_time()).min()
-            };
-            let Some(tmin) = tmin else { break };
-            if tmin > deadline {
-                break;
-            }
-            {
-                let _prof = crate::profile::scope("sched/pop_batch");
-                let rt = self.rt.as_mut().expect("runtime present");
-                for q in &mut rt.queues {
-                    let _ = q.pop_batch_until(tmin, &mut buf);
-                }
-            }
-            if buf.is_empty() {
-                // `tmin` was a tombstone-only bound; the probes reaped it.
-                continue;
-            }
-            buf.sort_by_key(|e| e.seq);
-            debug_assert!(tmin >= self.now, "time went backwards");
-            self.now = tmin;
-            if self.sampler.is_some() {
-                self.maybe_sample_sharded();
-            }
-            self.rt
-                .as_mut()
-                .expect("runtime present")
-                .sim_stats
-                .dispatched += buf.len() as u64;
-            if self.invariants.enabled() {
-                let (stats, pending) = self.sched_ledger();
-                self.invariants.check_scheduler(self.now, &stats, pending);
-            }
-            let _prof = crate::profile::scope("world/dispatch");
-            for Event { kind, .. } in buf.drain(..) {
-                if let Some(limit) = limit {
-                    if dispatched >= limit {
-                        panic!(
-                            "run_until_idle: event limit {limit} exceeded at t={}",
-                            self.now
-                        );
-                    }
-                }
-                dispatched += 1;
-                self.dispatch(kind);
-            }
-        }
-    }
-
-    /// The conservative parallel protocol. Repeats a barrier loop:
-    ///
-    /// 1. probe every shard's next-activity time;
-    /// 2. relax the probes through the border graph (link latency is the
-    ///    lookahead) into per-shard *effective* lower bounds;
-    /// 3. apply buffered cross-shard transmissions whose send time every
-    ///    adjacent shard has provably passed;
-    /// 4. replay finished rounds below the global frontier in canonical
-    ///    `(time, round, key)` order — trace, pcap, invariants and the
-    ///    scheduler ledger observe exactly the serial history;
-    /// 5. run every shard that can advance for one window, dispatching
-    ///    only events strictly below its horizon.
-    ///
-    /// Exits when every queue is drained past `deadline` with nothing left
-    /// to apply or replay.
-    fn run_sharded(&mut self, deadline: SimTime, limit: Option<u64>) {
-        let mut rt = self.rt.take().expect("runtime present");
-        let nshards = rt.nshards;
-        let mut run_events: Vec<u64> = vec![0; nshards];
-        let mut replayed_events: u64 = 0;
-        loop {
-            let mut t_next: Vec<Option<SimTime>> = rt.queues.iter().map(|q| q.min_time()).collect();
-            let floors = rt.tx_floors();
-            let mut eff = rt.effective(&t_next, &floors);
-            let applied = self.apply_border_txs(&mut rt, &eff);
-            if applied > 0 {
-                t_next = rt.queues.iter().map(|q| q.min_time()).collect();
-                let floors = rt.tx_floors();
-                eff = rt.effective(&t_next, &floors);
-            }
-            let frontier = eff.iter().copied().min().unwrap_or(u64::MAX);
-            let replayed = self.replay_rounds(&mut rt, frontier, limit, &mut replayed_events);
-            let horizons = rt.horizons(&eff, deadline);
-            let mut participants: Vec<usize> = Vec::new();
-            for r in 0..nshards {
-                let Some(t) = t_next[r] else { continue };
-                if t > deadline {
-                    continue;
-                }
-                if limit.is_some_and(|l| run_events[r] > l) {
-                    // Locally over the event limit: excluded so the forced
-                    // replay below fires the canonical limit panic.
-                    continue;
-                }
-                if t < horizons[r] {
-                    participants.push(r);
-                } else {
-                    rt.stats[r].stalls += 1;
-                }
-            }
-            if participants.is_empty() {
-                if applied > 0 || replayed > 0 {
-                    continue;
-                }
-                if limit.is_some() && run_events.iter().any(|&e| e > limit.unwrap_or(u64::MAX)) {
-                    self.replay_rounds(&mut rt, u64::MAX, limit, &mut replayed_events);
-                    unreachable!("forced replay past the event limit must panic");
-                }
-                let all_idle = t_next.iter().all(|t| t.is_none_or(|t| t > deadline));
-                if all_idle {
-                    break;
-                }
-                panic!("netsim: sharded scheduler stalled with runnable events");
-            }
-            self.run_window(&mut rt, &participants, &horizons, limit, &mut run_events);
-        }
-        debug_assert!(
-            rt.pending_txs.is_empty(),
-            "undelivered border transmissions"
-        );
-        debug_assert!(rt.pending_rounds.is_empty(), "unreplayed rounds");
-        self.rt = Some(rt);
-    }
-
-    /// Run one window on every participant shard (in parallel when the
-    /// machine has more than one core), then collect the logged rounds and
-    /// scatter their cross-shard transmissions into the pending buffer.
-    fn run_window(
-        &mut self,
-        rt: &mut Runtime,
-        participants: &[usize],
-        horizons: &[SimTime],
-        limit: Option<u64>,
-        run_events: &mut [u64],
-    ) {
-        let _prof = crate::profile::scope("world/shard_window");
-        let nshards = rt.nshards;
-        // Partition `&mut` views of the node and segment state by owner:
-        // zero-copy, and each shard sees its members indexed by slot.
-        let mut nodes_p: Vec<Vec<&mut Option<Node>>> = (0..nshards).map(|_| Vec::new()).collect();
-        for (i, slot) in self.nodes.iter_mut().enumerate() {
-            nodes_p[rt.owner_node[i] as usize].push(slot);
-        }
-        let mut seqs_p: Vec<Vec<&mut u64>> = (0..nshards).map(|_| Vec::new()).collect();
-        for (i, s) in self.node_seq.iter_mut().enumerate() {
-            seqs_p[rt.owner_node[i] as usize].push(s);
-        }
-        let mut rngs_p: Vec<Vec<&mut StdRng>> = (0..nshards).map(|_| Vec::new()).collect();
-        for (i, r) in self.node_rng.iter_mut().enumerate() {
-            rngs_p[rt.owner_node[i] as usize].push(r);
-        }
-        // Border segment state stays with the coordinator (only
-        // `apply_border_txs` touches it).
-        let mut segst_p: Vec<Vec<&mut SegState>> = (0..nshards).map(|_| Vec::new()).collect();
-        for (s, st) in self.seg_states.iter_mut().enumerate() {
-            if !rt.border[s] {
-                segst_p[rt.owner_seg[s] as usize].push(st);
-            }
-        }
-        let shared = ShardShared {
-            segments: &self.segments,
-            node_slot: &rt.node_slot,
-            seg_slot: &rt.seg_slot,
-            border: &rt.border,
-            inv_enabled: self.invariants.enabled(),
-            trace_on: self.trace.is_enabled(),
-            pcap_on: self.pcap.is_some(),
-        };
-        let mut runs: Vec<ShardRun> = Vec::with_capacity(participants.len());
-        {
-            let mut queues: Vec<Option<&mut EventQueue>> = rt.queues.iter_mut().map(Some).collect();
-            let mut metrics: Vec<Option<&mut MetricsRegistry>> =
-                rt.shard_metrics.iter_mut().map(Some).collect();
-            let mut stats: Vec<Option<&mut ShardStats>> = rt.stats.iter_mut().map(Some).collect();
-            for &r in participants {
-                runs.push(ShardRun {
-                    shard: r,
-                    horizon: horizons[r],
-                    budget: match limit {
-                        Some(l) => l.saturating_add(1).saturating_sub(run_events[r]),
-                        None => u64::MAX,
-                    },
-                    queue: queues[r].take().expect("participant queue"),
-                    metrics: metrics[r].take().expect("participant metrics"),
-                    stats: stats[r].take().expect("participant stats"),
-                    nodes: std::mem::take(&mut nodes_p[r]),
-                    seqs: std::mem::take(&mut seqs_p[r]),
-                    rngs: std::mem::take(&mut rngs_p[r]),
-                    seg_states: std::mem::take(&mut segst_p[r]),
-                    rounds: Vec::new(),
-                    events: 0,
-                });
-            }
-        }
-        if rt.parallel && runs.len() > 1 {
-            let sh = &shared;
-            let (first, rest) = runs.split_first_mut().expect("non-empty runs");
-            std::thread::scope(|scope| {
-                for run in rest.iter_mut() {
-                    scope.spawn(move || run_shard_window(sh, run));
-                }
-                run_shard_window(sh, first);
-            });
+        self.queue.shrink();
+        self.batch = if batch.capacity() > 32 {
+            Vec::new()
         } else {
-            for run in &mut runs {
-                run_shard_window(&shared, run);
-            }
-        }
-        let mut collected: Vec<Vec<RoundLog>> = Vec::with_capacity(runs.len());
-        for run in runs {
-            let ShardRun {
-                shard,
-                events,
-                rounds,
-                stats,
-                ..
-            } = run;
-            run_events[shard] += events;
-            let crossed = rounds
-                .iter()
-                .flat_map(|rd| rd.groups.iter())
-                .flat_map(|g| g.ops.iter())
-                .filter(|op| matches!(op, Op::BorderTx { .. }))
-                .count() as u64;
-            stats.msgs_out += crossed;
-            collected.push(rounds);
-        }
-        for rounds in collected {
-            for round in &rounds {
-                for g in &round.groups {
-                    for (i, op) in g.ops.iter().enumerate() {
-                        if let Op::BorderTx { seg, iface, frame } = op {
-                            rt.pending_txs.push(PendingTx {
-                                seg: *seg,
-                                t: round.t,
-                                round: round.round,
-                                key: g.key,
-                                op: i as u32,
-                                node: g.node,
-                                iface: *iface,
-                                frame: frame.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-            rt.pending_rounds.extend(rounds);
-        }
-    }
-
-    /// Apply every buffered cross-shard transmission whose send time is
-    /// provably in every adjacent shard's past, in canonical order. The
-    /// medium (occupancy, stats, delivery scheduling) evolves exactly as
-    /// under serial dispatch; the observer half is recorded as a
-    /// [`TxRecord`] consumed by the matching `Op::BorderTx` replay.
-    fn apply_border_txs(&mut self, rt: &mut Runtime, eff: &[u64]) -> usize {
-        if rt.pending_txs.is_empty() {
-            return 0;
-        }
-        rt.sort_pending_txs();
-        let mut applied = 0usize;
-        let txs = std::mem::take(&mut rt.pending_txs);
-        let mut remaining: Vec<PendingTx> = Vec::with_capacity(txs.len());
-        for tx in txs {
-            if tx.t.0 >= rt.border_threshold(eff, tx.seg) {
-                remaining.push(tx);
-                continue;
-            }
-            let st = &mut self.seg_states[tx.seg];
-            let (queue_wait, serialize) = if self.metrics.enabled() {
-                (
-                    st.backlog(tx.t),
-                    self.segments[tx.seg].config.serialize_time(tx.frame.len()),
-                )
-            } else {
-                (SimDuration::ZERO, SimDuration::ZERO)
-            };
-            let wire_len = tx.frame.len();
-            let mut sink = BorderApplySink {
-                queues: &mut rt.queues,
-                owner_node: &rt.owner_node,
-                stats: &mut rt.stats,
-                pushed: 0,
-            };
-            let outcome =
-                self.segments[tx.seg].transmit(st, (tx.node, tx.iface), tx.frame, tx.t, &mut sink);
-            let pushed = sink.pushed;
-            rt.tx_records[tx.seg].push_back(TxRecord {
-                wire_len,
-                queue_wait,
-                serialize,
-                outcome,
-                pushed,
-            });
-            applied += 1;
-        }
-        rt.pending_txs = remaining;
-        applied
-    }
-
-    /// Replay every logged round strictly below `frontier`: merge rounds
-    /// with equal `(time, round)` across shards, order their event groups
-    /// by lane key, and run each group's deferred observer effects. This
-    /// is where the trace, the pcap stream, the conservation monitors and
-    /// the scheduler ledger observe the run — in exactly the serial order.
-    fn replay_rounds(
-        &mut self,
-        rt: &mut Runtime,
-        frontier: u64,
-        limit: Option<u64>,
-        replayed_events: &mut u64,
-    ) -> usize {
-        if rt.pending_rounds.is_empty() {
-            return 0;
-        }
-        let all = std::mem::take(&mut rt.pending_rounds);
-        let mut ready: Vec<RoundLog> = Vec::new();
-        for r in all {
-            if r.t.0 < frontier {
-                ready.push(r);
-            } else {
-                rt.pending_rounds.push(r);
-            }
-        }
-        if ready.is_empty() {
-            return 0;
-        }
-        let _prof = crate::profile::scope("world/replay");
-        ready.sort_by_key(|r| (r.t, r.round));
-        let mut count = 0usize;
-        let mut i = 0usize;
-        while i < ready.len() {
-            let (t, round) = (ready[i].t, ready[i].round);
-            let mut batch_total = 0u64;
-            let mut groups: Vec<Group> = Vec::new();
-            while i < ready.len() && ready[i].t == t && ready[i].round == round {
-                batch_total += ready[i].batch_len;
-                groups.append(&mut ready[i].groups);
-                i += 1;
-            }
-            groups.sort_by_key(|g| g.key);
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            if self.sampler.is_some() {
-                self.maybe_sample_rt(rt);
-            }
-            rt.sim_stats.dispatched += batch_total;
-            if self.invariants.enabled() {
-                let s = rt.sim_stats;
-                let pending = s.pushed - s.dispatched - s.cancelled;
-                self.invariants.check_scheduler(self.now, &s, pending);
-            }
-            for g in groups {
-                if let Some(lim) = limit {
-                    if *replayed_events >= lim {
-                        panic!(
-                            "run_until_idle: event limit {lim} exceeded at t={}",
-                            self.now
-                        );
-                    }
-                }
-                *replayed_events += 1;
-                count += 1;
-                rt.sim_stats.pushed += g.counts.pushed;
-                rt.sim_stats.cancelled += g.counts.cancelled;
-                for op in g.ops {
-                    self.replay_op(rt, g.node, op);
-                }
-            }
-        }
-        count
-    }
-
-    /// Replay one deferred observer effect at the current (replayed) time.
-    fn replay_op(&mut self, rt: &mut Runtime, node: NodeId, op: Op) {
-        match op {
-            Op::Trace { kind, pkt } => {
-                self.trace.record(self.now, node, kind, &pkt);
-                self.invariants.record_packet(kind, &pkt);
-            }
-            Op::Transform {
-                kind,
-                parent,
-                child,
-            } => {
-                self.trace
-                    .record_transform(self.now, node, kind, parent.as_ref(), &child);
-                self.invariants.record_transform(parent.as_ref(), &child);
-            }
-            Op::Promote { a, b, proto } => self.trace.promote_endpoints(a, b, proto),
-            Op::Pcap { frame } => {
-                if let Some(p) = self.pcap.as_mut() {
-                    let _ = p.write_frame(self.now, &frame);
-                }
-            }
-            Op::WireLoss => self.invariants.note_wire_loss(),
-            Op::UnclaimedFrame => self.invariants.note_unclaimed_frame(),
-            Op::DetachedFrame => self.invariants.note_detached_frame(),
-            Op::Parked => self.invariants.note_parked(),
-            Op::Unparked => self.invariants.note_unparked(),
-            Op::Consumed { pkt } => self.invariants.note_consumed(&pkt),
-            Op::Rewrite { before, after } => self.invariants.note_rewrite(&before, &after),
-            Op::BorderTx {
-                seg,
-                iface: _,
-                frame,
-            } => {
-                let rec = rt.tx_records[seg]
-                    .pop_front()
-                    .expect("border tx applied before replay");
-                self.metrics.record_transmit(
-                    SegmentId(seg),
-                    rec.wire_len,
-                    rec.queue_wait,
-                    rec.serialize,
-                    rec.outcome,
-                );
-                if matches!(rec.outcome, FaultOutcome::Drop | FaultOutcome::Corrupt) {
-                    self.invariants.note_wire_loss();
-                } else if self.invariants.enabled() && frame.len() >= 6 {
-                    let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
-                    if !dst.is_broadcast()
-                        && !dst.is_multicast()
-                        && !self.segments[seg].mac_attached(dst)
-                    {
-                        self.invariants.note_unclaimed_frame();
-                    }
-                }
-                if rec.outcome != FaultOutcome::Drop {
-                    if let Some(p) = self.pcap.as_mut() {
-                        let _ = p.write_frame(self.now, &frame);
-                    }
-                }
-                rt.sim_stats.pushed += rec.pushed;
-            }
-        }
+            batch
+        };
     }
 
     // ---- scheduler introspection -------------------------------------------
 
     /// Events currently queued (cancelled timers excluded).
     pub fn pending_events(&self) -> usize {
-        match &self.rt {
-            Some(_) => {
-                let (_, pending) = self.sched_ledger();
-                pending as usize + self.step_batch.len()
-            }
-            None => self.queue.len(),
-        }
+        self.queue.len()
     }
 
     /// Scheduler activity counters: events pushed, dispatched, and
     /// cancelled before firing. Cancelled events are never dispatched and
-    /// therefore never reach the trace or metrics. In sharded mode this is
-    /// the global ledger, byte-identical with the serial counters.
+    /// therefore never reach the trace or metrics.
     pub fn scheduler_stats(&self) -> SchedulerStats {
-        match &self.rt {
-            Some(rt) => rt.sim_stats,
-            None => self.queue.stats(),
-        }
+        self.queue.stats()
     }
 
     /// Timing-wheel gauges (cascades, occupancy, overflow pressure)
     /// recorded while the flight recorder was enabled; all zeros
-    /// otherwise and on the reference-heap backend. In sharded mode the
-    /// per-shard wheels' gauges are merged (counters summed, peaks maxed).
+    /// otherwise and on the reference-heap backend.
     pub fn scheduler_telemetry(&self) -> SchedulerTelemetry {
-        match &self.rt {
-            None => self.queue.telemetry(),
-            Some(rt) => {
-                let mut out = SchedulerTelemetry::default();
-                for q in &rt.queues {
-                    let t = q.telemetry();
-                    out.cascades += t.cascades;
-                    out.cascade_entries += t.cascade_entries;
-                    out.overflow_promotions += t.overflow_promotions;
-                    out.overflow_peak = out.overflow_peak.max(t.overflow_peak);
-                    out.samples += t.samples;
-                    for (a, b) in out.occupancy_sum.iter_mut().zip(t.occupancy_sum) {
-                        *a += b;
-                    }
-                    for (a, b) in out.occupancy_peak.iter_mut().zip(t.occupancy_peak) {
-                        *a = (*a).max(b);
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// Per-shard utilization counters (events dispatched, windows run,
-    /// horizon stalls, border messages in/out); `None` until the sharded
-    /// runtime exists (serial worlds never create one).
-    pub fn shard_stats(&self) -> Option<&[ShardStats]> {
-        self.rt.as_ref().map(|rt| rt.stats.as_slice())
-    }
-
-    /// How many shards the event loop actually runs on (1 = serial).
-    pub fn shard_count(&self) -> usize {
-        self.rt.as_ref().map_or(1, |rt| rt.nshards)
+        self.queue.telemetry()
     }
 
     // ---- gauge sampling --------------------------------------------------------
@@ -2036,48 +877,6 @@ impl World {
         }
     }
 
-    /// Sharded-mode sampler entry points used where the runtime still sits
-    /// in `self` (step / merged paths).
-    fn maybe_sample_sharded(&mut self) {
-        if let Some(rt) = self.rt.take() {
-            self.maybe_sample_rt(&rt);
-            self.rt = Some(rt);
-        }
-    }
-
-    /// Record a sample against the sharded runtime's global ledger and the
-    /// instantaneous union of the shard wheels. Profile-gauge-grade: the
-    /// gauges are an instantaneous parallel snapshot, outside the
-    /// byte-identity guarantee (which covers reports, metrics, traces and
-    /// pcaps, not the profiler's own sampling of wheel internals).
-    fn maybe_sample_rt(&mut self, rt: &Runtime) {
-        let due = self.sampler.as_deref().is_some_and(|s| s.due(self.now.0));
-        if !due {
-            return;
-        }
-        let s = rt.sim_stats;
-        let live = s.pushed - s.dispatched - s.cancelled;
-        let mut occ_sum = 0u64;
-        let mut overflow = 0usize;
-        for q in &rt.queues {
-            let (occ, of) = q.wheel_occupancy();
-            occ_sum += occ.iter().sum::<u64>();
-            overflow += of;
-        }
-        let raw = crate::profile::RawGauges {
-            sim_us: self.now.0,
-            dispatched: s.dispatched,
-            live_timers: live,
-            wheel_occupancy: occ_sum,
-            overflow_len: overflow as u64,
-            mem_est_bytes: self.nodes.len() as u64 * 768
-                + self.trace.events().len() as u64 * 160
-                + live * 112,
-        };
-        if let Some(smp) = self.sampler.as_deref_mut() {
-            smp.push(raw);
-        }
-    }
     // ---- automatic routing ----------------------------------------------------
 
     /// Compute shortest-path routes (by cumulative link latency) from every
@@ -2235,155 +1034,6 @@ impl World {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shard worker
-// ---------------------------------------------------------------------------
-
-/// Read-only state shared by every shard worker during one window.
-struct ShardShared<'w> {
-    segments: &'w [Segment],
-    node_slot: &'w [u32],
-    seg_slot: &'w [u32],
-    border: &'w [bool],
-    inv_enabled: bool,
-    trace_on: bool,
-    pcap_on: bool,
-}
-
-/// One shard's mutable slice of the world for one window: its queue,
-/// metrics registry, stats, and `&mut` views of its member nodes and
-/// private segment states (indexed by slot).
-struct ShardRun<'w> {
-    shard: usize,
-    horizon: SimTime,
-    /// Remaining event allowance under `run_until_idle`'s limit: checked
-    /// at batch boundaries only (a batch always completes), so it bounds
-    /// runaway shards without ever splitting a canonical round.
-    budget: u64,
-    queue: &'w mut EventQueue,
-    metrics: &'w mut MetricsRegistry,
-    stats: &'w mut ShardStats,
-    nodes: Vec<&'w mut Option<Node>>,
-    seqs: Vec<&'w mut u64>,
-    rngs: Vec<&'w mut StdRng>,
-    seg_states: Vec<&'w mut SegState>,
-    rounds: Vec<RoundLog>,
-    events: u64,
-}
-
-/// Drain one shard's queue up to (strictly below) its horizon, dispatching
-/// events against its own nodes and private media and logging every round
-/// for canonical replay. Runs on a worker thread; everything it touches is
-/// owned by or partitioned to this shard.
-fn run_shard_window<'w>(shared: &ShardShared<'w>, run: &mut ShardRun<'w>) {
-    let _prof = crate::profile::scope("world/shard_run");
-    let hcap = SimTime(run.horizon.0 - 1);
-    let mut buf: Vec<Event> = Vec::new();
-    let mut cur_t: Option<SimTime> = None;
-    let mut round: u32 = 0;
-    run.stats.windows += 1;
-    loop {
-        if run.budget == 0 {
-            break;
-        }
-        let Some(t) = run.queue.pop_batch_until(hcap, &mut buf) else {
-            break;
-        };
-        // Shard-local round numbering at `t` coincides with the serial
-        // scheduler's batch numbering at `t`: border latency is strictly
-        // positive, so same-timestamp causality never crosses shards, and
-        // a window never resumes another window's timestamp (a capped
-        // shard is excluded from further windows entirely).
-        round = match cur_t {
-            Some(ct) if ct == t => round + 1,
-            _ => 0,
-        };
-        cur_t = Some(t);
-        let batch_len = buf.len() as u64;
-        let mut groups: Vec<Group> = Vec::with_capacity(buf.len());
-        for ev in buf.drain(..) {
-            run.budget = run.budget.saturating_sub(1);
-            let key = ev.seq;
-            let node = event_node(&ev.kind);
-            let slot = shared.node_slot[node.0] as usize;
-            let mut counts = PushCounts::default();
-            let mut ops: Vec<Op> = Vec::new();
-            let (iface_frame, tok) = match ev.kind {
-                EventKind::Deliver { iface, frame, .. } => (Some((iface, frame)), None),
-                EventKind::Timer(t) => (None, Some(t.token)),
-            };
-            // Mirror the serial dispatcher's detached-node handling.
-            let Some(mut n) = run.nodes[slot].take() else {
-                if iface_frame.is_some() && shared.inv_enabled {
-                    ops.push(Op::DetachedFrame);
-                }
-                groups.push(Group {
-                    key,
-                    node,
-                    counts,
-                    ops,
-                });
-                continue;
-            };
-            if let Some((iface, _)) = &iface_frame {
-                if n.nic().segment(*iface).is_none() {
-                    *run.nodes[slot] = Some(n);
-                    if shared.inv_enabled {
-                        ops.push(Op::DetachedFrame);
-                    }
-                    groups.push(Group {
-                        key,
-                        node,
-                        counts,
-                        ops,
-                    });
-                    continue;
-                }
-            }
-            {
-                let mut ctx = NetCtx {
-                    now: t,
-                    node,
-                    inner: CtxInner::Worker {
-                        queue: &mut *run.queue,
-                        counts: &mut counts,
-                        ops: &mut ops,
-                        segments: shared.segments,
-                        seg_states: &mut run.seg_states,
-                        seg_slot: shared.seg_slot,
-                        border: shared.border,
-                        rng: &mut *run.rngs[slot],
-                        seq: &mut *run.seqs[slot],
-                        metrics: &mut *run.metrics,
-                        inv_enabled: shared.inv_enabled,
-                        trace_on: shared.trace_on,
-                        pcap_on: shared.pcap_on,
-                    },
-                };
-                match (iface_frame, tok) {
-                    (Some((iface, frame)), _) => n.on_frame(&mut ctx, iface, &frame),
-                    (None, Some(token)) => n.on_timer(&mut ctx, token),
-                    (None, None) => unreachable!(),
-                }
-            }
-            *run.nodes[slot] = Some(n);
-            groups.push(Group {
-                key,
-                node,
-                counts,
-                ops,
-            });
-        }
-        run.events += batch_len;
-        run.stats.events += batch_len;
-        run.rounds.push(RoundLog {
-            t,
-            round,
-            batch_len,
-            groups,
-        });
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2808,166 +1458,35 @@ mod tests {
         assert!(s.contains("\"violations\":[]"), "{s}");
     }
 
-    // ---- sharded execution ------------------------------------------------
-
-    /// Build the two-LAN topology at a given shard count, run a fixed
-    /// ping workload across the router, and return everything observable
-    /// (time, trace length, scheduler counters, metrics snapshot JSON,
-    /// link stats).
-    fn sharded_fingerprint(shards: usize) -> (SimTime, usize, SchedulerStats, String, LinkStats) {
-        let (mut w, a, _b, _r) = two_lan_world_sharded(shards);
-        w.enable_metrics();
-        w.enable_invariants();
-        w.host_do(a, |h, ctx| {
-            for seq in 1..=3 {
-                h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), seq);
-            }
-        });
-        w.run_until_idle(100_000);
-        assert!(!w.has_invariant_violations(), "shards={shards}");
-        let names = w.node_names();
-        let now = w.now();
-        let snap = serde_json::to_string_pretty(&w.metrics.snapshot(&names, now)).unwrap();
-        (
-            w.now(),
-            w.trace.events().len(),
-            w.scheduler_stats(),
-            snap,
-            w.segment_stats(SegmentId(0)),
-        )
-    }
-
-    fn two_lan_world_sharded(shards: usize) -> (World, NodeId, NodeId, NodeId) {
-        let mut w = World::with_shards(7, shards);
-        let lan_a = w.add_segment(LinkConfig::lan());
-        let lan_b = w.add_segment(LinkConfig::lan());
-        let a = w.add_host(HostConfig::conventional("a"));
-        let b = w.add_host(HostConfig::conventional("b"));
-        let r = w.add_router(RouterConfig::named("r1"));
-        w.attach(a, lan_a, Some("10.0.1.10/24"));
-        w.attach(b, lan_b, Some("10.0.2.10/24"));
-        w.attach(r, lan_a, Some("10.0.1.1/24"));
-        w.attach(r, lan_b, Some("10.0.2.1/24"));
-        w.compute_routes();
-        (w, a, b, r)
-    }
-
     #[test]
-    fn sharded_run_is_byte_identical_to_serial() {
-        let serial = sharded_fingerprint(1);
-        for shards in [2, 4] {
-            let sharded = sharded_fingerprint(shards);
-            assert_eq!(serial.0, sharded.0, "now, shards={shards}");
-            assert_eq!(serial.1, sharded.1, "trace len, shards={shards}");
-            assert_eq!(serial.2, sharded.2, "scheduler stats, shards={shards}");
-            assert_eq!(serial.3, sharded.3, "metrics snapshot, shards={shards}");
-            assert_eq!(serial.4, sharded.4, "link stats, shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_pcap_is_byte_identical_to_serial() {
-        use std::sync::{Arc, Mutex};
-        struct Tap(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for Tap {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let capture = |shards: usize| {
-            let bytes = Arc::new(Mutex::new(Vec::new()));
-            let (mut w, a, _b, _r) = two_lan_world_sharded(shards);
-            w.capture_pcap(Box::new(Tap(bytes.clone()))).unwrap();
+    fn step_matches_run_until_idle() {
+        use crate::event::SchedulerKind;
+        let run = |kind: SchedulerKind, stepwise: bool| {
+            let (mut w, a, _b, _r) = two_lan_world();
+            assert_eq!(w.pending_events(), 0);
+            w.queue = EventQueue::with_kind(kind);
             w.host_do(a, |h, ctx| {
                 for seq in 1..=2 {
                     h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), seq);
                 }
             });
-            w.run_until_idle(100_000);
-            let frames = w.finish_pcap().unwrap();
-            assert!(frames > 0, "shards={shards}");
-            Arc::try_unwrap(bytes).unwrap().into_inner().unwrap()
+            if stepwise {
+                let mut steps = 0u64;
+                while w.step() {
+                    steps += 1;
+                }
+                assert_eq!(steps, w.scheduler_stats().dispatched, "{kind:?}");
+            } else {
+                w.run_until_idle(100_000);
+            }
+            assert_eq!(w.pending_events(), 0, "{kind:?}");
+            (w.now(), w.scheduler_stats(), w.trace.events().clone())
         };
-        let serial = capture(1);
-        for shards in [2, 4] {
-            assert_eq!(serial, capture(shards), "pcap bytes, shards={shards}");
+        for kind in [SchedulerKind::Wheel, SchedulerKind::ReferenceHeap] {
+            let batched = run(kind, false);
+            assert!(batched.1.dispatched > 0, "{kind:?}");
+            assert!(!batched.2.is_empty(), "{kind:?}");
+            assert_eq!(run(kind, true), batched, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn mid_run_fault_change_repartitions_and_stays_identical() {
-        // Flipping a fault on after the first run makes segment 0
-        // constrained: the next partition refresh must pin its endpoints
-        // to one shard (faults need the segment RNG, which cannot be
-        // replayed across a border) and stay byte-identical to serial.
-        let run = |shards: usize| {
-            let (mut w, a, _b, _r) = two_lan_world_sharded(shards);
-            w.enable_metrics();
-            w.enable_invariants();
-            w.host_do(a, |h, ctx| {
-                h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 1)
-            });
-            w.run_until_idle(100_000);
-            // Mid-life fault config change on what was a border wire.
-            w.segment_config_mut(SegmentId(0)).fault.drop_prob = 1.0;
-            w.host_do(a, |h, ctx| {
-                h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), 2)
-            });
-            w.run_until_idle(100_000);
-            assert!(!w.has_invariant_violations(), "shards={shards}");
-            (w.now(), w.trace.events().len(), w.scheduler_stats())
-        };
-        let serial = run(1);
-        let sharded = run(4);
-        assert_eq!(serial, sharded);
-    }
-
-    #[test]
-    fn shard_stats_show_horizon_bounded_progress() {
-        let (mut w, a, _b, _r) = two_lan_world_sharded(2);
-        w.host_do(a, |h, ctx| {
-            for seq in 1..=5 {
-                h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), seq);
-            }
-        });
-        w.run_until_idle(100_000);
-        let stats = w.shard_stats().expect("sharded runtime exists");
-        assert_eq!(stats.len(), 2);
-        let events: u64 = stats.iter().map(|s| s.events).sum();
-        let windows: u64 = stats.iter().map(|s| s.windows).sum();
-        let out: u64 = stats.iter().map(|s| s.msgs_out).sum();
-        let inn: u64 = stats.iter().map(|s| s.msgs_in).sum();
-        assert_eq!(events, w.scheduler_stats().dispatched);
-        assert!(windows > 0, "shards ran windows");
-        assert!(out > 0, "pings crossed the router's shard border");
-        // Every border transmit here delivers to exactly one peer.
-        assert_eq!(inn, out);
-    }
-
-    #[test]
-    fn sharded_step_matches_serial_step() {
-        let run = |shards: usize| {
-            let (mut w, a, _b, _r) = two_lan_world_sharded(shards);
-            w.host_do(a, |h, ctx| {
-                for seq in 1..=2 {
-                    h.send_ping(ctx, ip("10.0.1.10"), ip("10.0.2.10"), seq);
-                }
-            });
-            let mut steps = 0usize;
-            for _ in 0..10 {
-                if !w.step() {
-                    break;
-                }
-                steps += 1;
-            }
-            // Finish with a batch run to exercise the step-batch flush.
-            w.run_until_idle(100_000);
-            (steps, w.now(), w.trace.events().len(), w.scheduler_stats())
-        };
-        assert_eq!(run(1), run(2));
     }
 }

@@ -1,24 +1,24 @@
 //! Scale-tentpole invariants, end to end: the hierarchical generator is
-//! deterministic — same seed, same world, byte for byte, at 1, 2, and 4
-//! shards — and memory-compact: a hundred-thousand-host world costs at
-//! most 1 KiB of live heap per host, through build and a handoff storm.
+//! deterministic — same seed, same world, byte for byte, run to run — and
+//! memory-compact: a hundred-thousand-host world costs at most 1 KiB of
+//! live heap per host, through build and a handoff storm.
 //!
-//! Both tests flip process-global state (the default shard count and the
-//! counting allocator's live-byte gauge), so they serialize on one lock.
+//! The memory test reads the counting allocator's process-global
+//! live-byte gauge, which any concurrently running test would skew, so
+//! both tests serialize on one lock.
 
 use std::sync::Mutex;
 
 use bench::report;
 use bench::scale::{build_world, run_churn, ChurnParams, ScaleParams};
-use mobility4x4::netsim::{self, set_default_shards};
+use mobility4x4::netsim;
 
 static GLOBAL: Mutex<()> = Mutex::new(());
 
-/// Build a seeded world at a shard count, run the full churn workload,
-/// and fingerprint everything observable: the world snapshot (nodes,
-/// routes, bindings) and the churn outcome.
-fn fingerprint(shards: usize, params: &ScaleParams, churn: &ChurnParams) -> (String, String) {
-    set_default_shards(shards);
+/// Build a seeded world, run the full churn workload, and fingerprint
+/// everything observable: the world snapshot (nodes, routes, bindings)
+/// and the churn outcome.
+fn fingerprint(params: &ScaleParams, churn: &ChurnParams) -> (String, String) {
     let (mut w, ix) = build_world(params);
     let stats = run_churn(&mut w, &ix, churn);
     let snap = serde_json::to_string(&report::world_snapshot(&w)).expect("serialize snapshot");
@@ -26,7 +26,7 @@ fn fingerprint(shards: usize, params: &ScaleParams, churn: &ChurnParams) -> (Str
 }
 
 #[test]
-fn seeded_generator_is_byte_identical_across_shard_counts() {
+fn seeded_generator_is_byte_identical_run_to_run() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     let params = ScaleParams {
         seed: 42,
@@ -34,28 +34,14 @@ fn seeded_generator_is_byte_identical_across_shard_counts() {
     };
     let churn = ChurnParams::default();
 
-    let serial = fingerprint(1, &params, &churn);
-    let again = fingerprint(1, &params, &churn);
-    assert_eq!(serial, again, "same seed must reproduce the same world");
-
-    for shards in [2usize, 4] {
-        let sharded = fingerprint(shards, &params, &churn);
-        assert_eq!(
-            serial.0, sharded.0,
-            "world snapshot diverged at {shards} shards"
-        );
-        assert_eq!(
-            serial.1, sharded.1,
-            "churn outcome diverged at {shards} shards"
-        );
-    }
-    set_default_shards(1);
+    let first = fingerprint(&params, &churn);
+    let again = fingerprint(&params, &churn);
+    assert_eq!(first, again, "same seed must reproduce the same world");
 }
 
 #[test]
 fn big_world_stays_under_a_kib_per_host() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    set_default_shards(1);
     // Debug builds pay the same allocation *sizes* but ~20× the build
     // time, so they check an eighth of the release-mode world — at the
     // same hosts-per-stub density, since the budget amortizes each
