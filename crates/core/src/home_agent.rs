@@ -230,6 +230,7 @@ impl HomeAgent {
     }
 
     fn handle_registration(&mut self, pkt: &Ipv4Packet, host: &mut Host, ctx: &mut NetCtx) -> bool {
+        let _prof = netsim::profile::scope("home_agent/registration");
         let Ok(dgram) = UdpDatagram::parse(&pkt.payload, pkt.src, pkt.dst) else {
             return false;
         };
@@ -304,6 +305,7 @@ impl HomeAgent {
         host: &mut Host,
         ctx: &mut NetCtx,
     ) {
+        let _prof = netsim::profile::scope("home_agent/tunnel");
         let ident = host.alloc_ident();
         // Minimal encapsulation cannot carry fragments (RFC 2004); fall
         // back to IP-in-IP for those.

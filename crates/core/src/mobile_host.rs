@@ -625,6 +625,7 @@ impl MobilityHook for MobileHost {
         host: &mut Host,
         ctx: &mut NetCtx,
     ) -> Option<Ipv4Packet> {
+        let _prof = netsim::profile::scope("mobile_host/incoming");
         if self.handle_registration_reply(&pkt, host, ctx) {
             return None;
         }
@@ -648,6 +649,7 @@ impl MobilityHook for MobileHost {
     }
 
     fn on_timer(&mut self, payload: u64, host: &mut Host, ctx: &mut NetCtx) {
+        let _prof = netsim::profile::scope("mobile_host/timer");
         if matches!(payload, TIMER_REG_RETRY | TIMER_REG_REFRESH) {
             // The stored handle is the timer now firing; drop it so a later
             // cancellation doesn't touch a recycled slot.
@@ -693,6 +695,7 @@ impl MobilityHook for MobileHost {
     }
 
     fn feedback(&mut self, event: FeedbackEvent, now: SimTime) {
+        let _prof = netsim::profile::scope("mobile_host/feedback");
         if matches!(self.location, Location::Away { .. }) {
             self.policy.audit.set_now(now);
             let t = self

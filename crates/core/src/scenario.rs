@@ -179,6 +179,7 @@ pub fn cidr(s: &str) -> Ipv4Cidr {
 
 /// Build the canonical topology.
 pub fn build(cfg: ScenarioConfig) -> Scenario {
+    let _prof = netsim::profile::scope("scenario/build");
     let mut w = World::new(cfg.seed);
     let home_seg = w.add_segment(LinkConfig::lan());
     let visited_a = w.add_segment(LinkConfig::lan());

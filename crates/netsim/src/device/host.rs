@@ -332,7 +332,7 @@ impl Host {
 
     /// Does any interface (physical or virtual) own this address?
     pub fn is_local_addr(&self, a: Ipv4Addr) -> bool {
-        self.nic.addrs().contains(&a)
+        self.nic.owns(a)
     }
 
     // ---- routing ------------------------------------------------------
@@ -680,11 +680,10 @@ impl Host {
 
     pub(crate) fn on_frame(&mut self, ctx: &mut NetCtx, iface: IfaceNo, frame: &Bytes) {
         let _prof = crate::profile::scope("host/rx");
-        let mut own = self.nic.addrs();
-        // Also answer ARP for intercepted addresses via the proxy list.
-        own.extend(self.intercept.iter().copied());
+        // Answer ARP for intercepted and proxied addresses too; the NIC
+        // checks the interface addresses itself.
         let identity = ArpIdentity {
-            own: &own,
+            intercept: Some(&self.intercept),
             proxy: &self.proxy_arp,
         };
         match self.nic.on_frame(ctx, iface, frame, &identity) {

@@ -2,6 +2,8 @@
 //! (RFC 826) with proxy-ARP support (RFC 1027), fragmentation to the link
 //! MTU, and frame transmission.
 
+use std::collections::HashSet;
+
 use bytes::Bytes;
 
 use crate::event::IfaceNo;
@@ -48,18 +50,20 @@ impl IfaceAddr {
     }
 }
 
-/// Who a NIC should answer ARP requests for: its own addresses plus any
-/// proxied ones (the home agent answers for absent mobile hosts).
+/// Whom a NIC answers ARP requests for besides its own interface
+/// addresses, which it checks itself: addresses the node intercepts and
+/// addresses it proxies (the home agent answers for absent mobile hosts).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ArpIdentity<'a> {
-    /// Addresses this node owns.
-    pub own: &'a [Ipv4Addr],
-    /// Addresses answered on behalf of others (proxy ARP).
+    /// Addresses intercepted for others (the home agent's capture list).
+    pub intercept: Option<&'a HashSet<Ipv4Addr>>,
+    /// Addresses answered on behalf of others (proxy ARP), sorted.
     pub proxy: &'a [Ipv4Addr],
 }
 
 impl ArpIdentity<'_> {
     fn covers(&self, a: Ipv4Addr) -> bool {
-        self.own.contains(&a) || self.proxy.contains(&a)
+        self.intercept.is_some_and(|s| s.contains(&a)) || self.proxy.binary_search(&a).is_ok()
     }
 }
 
@@ -204,6 +208,19 @@ impl Nic {
             .iter()
             .filter_map(|i| i.addr.map(|a| a.addr))
             .collect()
+    }
+
+    /// Is `a` configured on any interface? The allocation-free form of
+    /// `addrs().contains(&a)` the receive path uses.
+    pub fn owns(&self, a: Ipv4Addr) -> bool {
+        self.ifaces
+            .iter()
+            .any(|i| i.addr.is_some_and(|x| x.addr == a))
+    }
+
+    /// The first configured interface address, if any.
+    pub fn first_addr(&self) -> Option<Ipv4Addr> {
+        self.ifaces.iter().find_map(|i| i.addr.map(|a| a.addr))
     }
 
     /// The interface whose on-link prefix contains `dst`, if any.
@@ -398,14 +415,17 @@ impl Nic {
         ctx.transmit(seg, iface, &frame);
     }
 
-    /// Process a received frame. ARP is consumed internally (answering for
-    /// every address in `identity`); IPv4 frames addressed to this NIC (or
-    /// broadcast/multicast) come back as [`NicRx::Ip`].
+    /// Process a received frame. Frames unicast to another MAC are
+    /// dropped before the payload is looked at. ARP is consumed internally
+    /// (answering for this NIC's own addresses and every address in
+    /// `identity`); IPv4 frames addressed to this NIC (or
+    /// broadcast/multicast) come back as [`NicRx::Ip`], with options and
+    /// payload sharing `frame`'s buffer — nothing on this path copies.
     pub fn on_frame(
         &mut self,
         ctx: &mut NetCtx,
         iface: IfaceNo,
-        frame: &[u8],
+        frame: &Bytes,
         identity: &ArpIdentity<'_>,
     ) -> NicRx {
         let Ok(eth) = EthernetFrame::parse(frame) else {
@@ -448,8 +468,8 @@ impl Nic {
         // merge-then-check, as BSD implements it). Without that rule one
         // gratuitous announce costs an ARP allocation on every resident of
         // the segment.
+        let for_us = self.owns(arp.tpa) || identity.covers(arp.tpa);
         if !arp.spa.is_unspecified() {
-            let for_us = identity.covers(arp.tpa);
             let awaited = self
                 .pending
                 .iter()
@@ -461,7 +481,7 @@ impl Nic {
             }
             self.flush_pending(ctx, iface, arp.spa, arp.sha);
         }
-        if arp.op == ArpOp::Request && identity.covers(arp.tpa) {
+        if arp.op == ArpOp::Request && for_us {
             let st = &self.ifaces[iface];
             let Some(seg) = st.segment else { return };
             let reply = ArpPacket::reply(st.mac, arp.tpa, arp.sha, arp.spa);

@@ -370,12 +370,10 @@ impl Router {
         if self.try_fast_forward(ctx, iface, frame) {
             return;
         }
-        let own = self.nic.addrs();
-        let identity = ArpIdentity {
-            own: &own,
-            proxy: &[],
-        };
-        let pkt = match self.nic.on_frame(ctx, iface, frame, &identity) {
+        let pkt = match self
+            .nic
+            .on_frame(ctx, iface, frame, &ArpIdentity::default())
+        {
             NicRx::Ip(p) => p,
             NicRx::Malformed | NicRx::Consumed => return,
         };
@@ -446,10 +444,8 @@ impl Router {
         }
         let dst = Ipv4Addr::from_octets([ip[16], ip[17], ip[18], ip[19]]);
         // Addressed to the router itself → local delivery, slow path.
-        for i in 0..self.nic.iface_count() {
-            if self.nic.addr(i).is_some_and(|a| a.addr == dst) {
-                return false;
-            }
+        if self.nic.owns(dst) {
+            return false;
         }
         let Some(route) = self.routes.lookup(dst) else {
             return false; // no-route ICMP is slow-path work
@@ -486,7 +482,8 @@ impl Router {
             protocol: IpProtocol::from_number(ip[9]),
             src: Ipv4Addr::from_octets([ip[12], ip[13], ip[14], ip[15]]),
             dst,
-            options: Bytes::new(),
+            // An empty view of the frame: `Bytes::new()` would allocate.
+            options: frame.slice(MIN_FRAME..MIN_FRAME),
             payload: frame.slice(MIN_FRAME..ETHERNET_HEADER_LEN + total_len),
         };
         match outcome {
@@ -504,9 +501,8 @@ impl Router {
     }
 
     fn continue_after_ingress(&mut self, ctx: &mut NetCtx, iface: IfaceNo, mut pkt: Ipv4Packet) {
-        let own = self.nic.addrs();
         // Addressed to the router itself?
-        if own.contains(&pkt.dst) {
+        if self.nic.owns(pkt.dst) {
             // A loose source route with remaining hops means we are a
             // waypoint, not the destination: rewrite and keep forwarding.
             let here = pkt.dst;
@@ -610,7 +606,7 @@ impl Router {
         if offending.protocol == IpProtocol::Icmp {
             return;
         }
-        let Some(src) = self.nic.addrs().first().copied() else {
+        let Some(src) = self.nic.first_addr() else {
             return;
         };
         let wire = offending.emit();

@@ -100,13 +100,18 @@ const HDR_BUCKETS: usize = HDR_SUBS + HDR_OCTAVES * HDR_SUBS;
 /// every current use). Values below 16 get exact buckets; above that,
 /// each power-of-two range splits into 16 linear sub-buckets keyed by the
 /// value's top 4 bits below its msb, so quantiles carry at most 6.25%
-/// relative error across the full `u64` range. Storage is one inline
-/// array — **constant memory regardless of sample count** — and `record`
-/// is O(1) with no allocation (a regression test records 10⁶ samples and
-/// asserts zero allocator traffic).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// relative error across the full `u64` range. `sum/n/min/max` live
+/// inline; the bucket array is allocated on the first `record` (or the
+/// first merge of a non-empty histogram), so a histogram that never sees
+/// a sample — a TCP RTT histogram on a node that runs no TCP — costs no
+/// heap at all. After that first sample memory is **constant regardless
+/// of sample count** and `record` is O(1) with no allocation (a
+/// regression test warms one up, then records 10⁶ samples and asserts
+/// zero allocator traffic). Absent buckets compare and serialize as all
+/// zeros.
+#[derive(Debug, Clone)]
 pub struct Histogram {
-    counts: [u64; HDR_BUCKETS],
+    counts: Option<Box<[u64]>>,
     sum: u64,
     n: u64,
     min: u64,
@@ -145,7 +150,7 @@ fn hdr_bucket_hi(ix: usize) -> u64 {
 impl Histogram {
     /// A histogram with no samples.
     pub const EMPTY: Histogram = Histogram {
-        counts: [0; HDR_BUCKETS],
+        counts: None,
         sum: 0,
         n: 0,
         min: u64::MAX,
@@ -154,7 +159,7 @@ impl Histogram {
 
     /// Record one sample.
     pub fn record(&mut self, v: u64) {
-        self.counts[hdr_bucket(v)] += 1;
+        self.buckets_mut()[hdr_bucket(v)] += 1;
         self.sum = self.sum.saturating_add(v);
         self.n += 1;
         self.min = self.min.min(v);
@@ -196,8 +201,10 @@ impl Histogram {
     /// sample streams — per-node histograms roll up into totals without
     /// re-recording.
     pub fn merge(&mut self, other: &Histogram) {
-        for (c, o) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *c += o;
+        if let Some(theirs) = &other.counts {
+            for (c, o) in self.buckets_mut().iter_mut().zip(theirs.iter()) {
+                *c += o;
+            }
         }
         self.sum = self.sum.saturating_add(other.sum);
         self.n += other.n;
@@ -214,7 +221,7 @@ impl Histogram {
         }
         let rank = (self.n - 1) * u64::from(p.min(100)) / 100;
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in self.counts.iter().flat_map(|b| b.iter()).enumerate() {
             seen += c;
             if c > 0 && seen > rank {
                 // Upper bound of bucket i, clamped to the observed range.
@@ -223,7 +230,30 @@ impl Histogram {
         }
         Some(self.max)
     }
+
+    /// The bucket array, allocated zeroed on first use.
+    fn buckets_mut(&mut self) -> &mut [u64] {
+        self.counts
+            .get_or_insert_with(|| vec![0; HDR_BUCKETS].into_boxed_slice())
+    }
 }
+
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Histogram) -> bool {
+        let buckets_eq = match (&self.counts, &other.counts) {
+            (Some(a), Some(b)) => a == b,
+            (Some(c), None) | (None, Some(c)) => c.iter().all(|&n| n == 0),
+            (None, None) => true,
+        };
+        buckets_eq
+            && self.sum == other.sum
+            && self.n == other.n
+            && self.min == other.min
+            && self.max == other.max
+    }
+}
+
+impl Eq for Histogram {}
 
 impl serde::Serialize for Histogram {
     fn to_value(&self) -> serde::Value {
@@ -589,6 +619,20 @@ impl MetricsRegistry {
     /// Turn recording on or off (already-recorded counts are kept).
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
+    }
+
+    /// Size the dense per-node and per-segment vectors for exactly
+    /// `nodes` and `segments` entries, so a world of known size fills
+    /// them without growth-doubling overshoot. Ids beyond them still
+    /// grow the vectors on first record. No-op once collapsed.
+    pub fn reserve_exact(&mut self, nodes: usize, segments: usize) {
+        if self.sketched.is_some() {
+            return;
+        }
+        self.nodes
+            .reserve_exact(nodes.saturating_sub(self.nodes.len()));
+        self.segments
+            .reserve_exact(segments.saturating_sub(self.segments.len()));
     }
 
     /// Zero every counter (sketches reset too; the armed config is kept).
@@ -1155,6 +1199,39 @@ mod tests {
         assert!(json.contains("\"segment0\""));
         assert!(json.contains("\"utilization\""));
         assert!(json.contains("\"sim_time_us\":1000"));
+    }
+
+    #[test]
+    fn absent_buckets_compare_and_serialize_as_zeros() {
+        let zeroed = Histogram {
+            counts: Some(vec![0; HDR_BUCKETS].into_boxed_slice()),
+            ..Histogram::EMPTY
+        };
+        assert_eq!(zeroed, Histogram::EMPTY);
+        assert_eq!(Histogram::EMPTY, zeroed);
+        assert_eq!(
+            serde_json::to_string(&zeroed).unwrap(),
+            serde_json::to_string(&Histogram::EMPTY).unwrap()
+        );
+        let mut one = Histogram::EMPTY;
+        one.record(7);
+        assert_ne!(one, zeroed);
+        assert_ne!(zeroed, one);
+    }
+
+    #[test]
+    fn reserve_exact_sizes_dense_vectors_once() {
+        let mut reg = MetricsRegistry::new(true);
+        reg.reserve_exact(1000, 10);
+        assert!(reg.nodes.capacity() >= 1000);
+        assert!(reg.segments.capacity() >= 10);
+        let base = reg.nodes.as_ptr();
+        reg.record_packet(NodeId(999), TraceEventKind::Sent, &pkt());
+        assert_eq!(reg.nodes.as_ptr(), base, "no reallocation within the world");
+        assert_eq!(reg.node_ids().count(), 1000);
+        // Ids past the reservation still grow the vector.
+        reg.record_packet(NodeId(1000), TraceEventKind::Sent, &pkt());
+        assert_eq!(reg.node(NodeId(1000)).packets_sent, 1);
     }
 
     #[test]

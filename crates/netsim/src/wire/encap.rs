@@ -230,7 +230,7 @@ pub fn decapsulate(outer: &Ipv4Packet) -> Result<Ipv4Packet, ParseError> {
             if has_cksum && !checksum_valid(p, 0) {
                 return Err(ParseError::BadChecksum { what: "gre" });
             }
-            Ipv4Packet::parse(&p[hdr_len..])
+            Ipv4Packet::parse(&p.slice(hdr_len..))
         }
         other => Err(ParseError::BadField {
             what: "tunnel protocol",

@@ -149,8 +149,9 @@ impl EthernetFrame {
         buf.extend_from_slice(&ethertype.number().to_be_bytes());
     }
 
-    /// Parse from wire bytes.
-    pub fn parse(data: &[u8]) -> Result<EthernetFrame, ParseError> {
+    /// Parse from wire bytes. The payload is a [`Bytes::slice`] of `data`,
+    /// so parsing a received frame copies nothing.
+    pub fn parse(data: &Bytes) -> Result<EthernetFrame, ParseError> {
         if data.len() < ETHERNET_HEADER_LEN {
             return Err(ParseError::Truncated {
                 needed: ETHERNET_HEADER_LEN,
@@ -165,7 +166,7 @@ impl EthernetFrame {
             dst: MacAddr(dst),
             src: MacAddr(src),
             ethertype: EtherType::from_number(u16::from_be_bytes([data[12], data[13]])),
-            payload: Bytes::copy_from_slice(&data[ETHERNET_HEADER_LEN..]),
+            payload: data.slice(ETHERNET_HEADER_LEN..),
         })
     }
 }
@@ -191,7 +192,7 @@ mod tests {
     #[test]
     fn parse_rejects_short_frames() {
         assert!(matches!(
-            EthernetFrame::parse(&[0u8; 13]),
+            EthernetFrame::parse(&Bytes::from_static(&[0u8; 13])),
             Err(ParseError::Truncated { .. })
         ));
     }

@@ -379,7 +379,11 @@ impl Ipv4Packet {
     }
 
     /// Parse wire bytes, verifying version, length and header checksum.
-    pub fn parse(data: &[u8]) -> Result<Ipv4Packet, ParseError> {
+    /// Options and payload are [`Bytes::slice`]s of `data`, so a received
+    /// packet shares its frame's allocation instead of copying it.
+    /// Trailing bytes past the header's total length (link padding) are
+    /// left out of the payload.
+    pub fn parse(data: &Bytes) -> Result<Ipv4Packet, ParseError> {
         if data.len() < IPV4_HEADER_LEN {
             return Err(ParseError::Truncated {
                 needed: IPV4_HEADER_LEN,
@@ -423,8 +427,8 @@ impl Ipv4Packet {
             protocol: IpProtocol::from_number(data[9]),
             src: Ipv4Addr::from_octets([data[12], data[13], data[14], data[15]]),
             dst: Ipv4Addr::from_octets([data[16], data[17], data[18], data[19]]),
-            options: Bytes::copy_from_slice(&data[IPV4_HEADER_LEN..ihl]),
-            payload: Bytes::copy_from_slice(&data[ihl..total_len]),
+            options: data.slice(IPV4_HEADER_LEN..ihl),
+            payload: data.slice(ihl..total_len),
         })
     }
 
@@ -669,7 +673,7 @@ mod tests {
         let mut wire = p.emit().to_vec();
         wire[8] ^= 0xff; // flip TTL → checksum mismatch
         assert_eq!(
-            Ipv4Packet::parse(&wire),
+            Ipv4Packet::parse(&Bytes::from(wire)),
             Err(ParseError::BadChecksum {
                 what: "ipv4 header"
             })
@@ -679,14 +683,14 @@ mod tests {
     #[test]
     fn parse_rejects_truncation_and_bad_version() {
         assert!(matches!(
-            Ipv4Packet::parse(&[0x45; 10]),
+            Ipv4Packet::parse(&Bytes::from_static(&[0x45; 10])),
             Err(ParseError::Truncated { .. })
         ));
         let p = sample_packet(10);
         let mut wire = p.emit().to_vec();
         wire[0] = 0x65; // version 6
         assert!(matches!(
-            Ipv4Packet::parse(&wire),
+            Ipv4Packet::parse(&Bytes::from(wire)),
             Err(ParseError::BadField {
                 what: "ip version",
                 ..
@@ -700,7 +704,7 @@ mod tests {
         let p = sample_packet(8);
         let mut wire = p.emit().to_vec();
         wire.extend_from_slice(&[0u8; 18]);
-        let q = Ipv4Packet::parse(&wire).unwrap();
+        let q = Ipv4Packet::parse(&Bytes::from(wire)).unwrap();
         assert_eq!(q.payload.len(), 8);
     }
 

@@ -325,7 +325,7 @@ impl NetCtx<'_> {
 
 /// The simulated internetwork.
 pub struct World {
-    nodes: Vec<Option<Node>>,
+    nodes: Vec<Node>,
     /// Interned node labels, following `nodes` index-for-index: metrics,
     /// trace and report labelling read these 4-byte symbols instead of
     /// cloning each node's heap `String` per snapshot.
@@ -395,9 +395,12 @@ impl World {
 
     /// Start recording aggregate metrics (packet/byte counters per node,
     /// drops by reason, link utilization, transport counters). Reading them
-    /// back goes through [`World::metrics`].
+    /// back goes through [`World::metrics`]. The registry's dense vectors
+    /// are sized once to the world's current node and segment counts.
     pub fn enable_metrics(&mut self) {
         self.metrics.set_enabled(true);
+        self.metrics
+            .reserve_exact(self.nodes.len(), self.segments.len());
     }
 
     /// Start the online invariant monitors (packet conservation,
@@ -519,7 +522,7 @@ impl World {
     pub fn add_host(&mut self, config: HostConfig) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.node_syms.push(crate::arena::intern(&config.name));
-        self.nodes.push(Some(Node::Host(Host::new(id, config))));
+        self.nodes.push(Node::Host(Host::new(id, config)));
         self.node_seq.push(0);
         self.node_rng
             .push(StdRng::seed_from_u64(node_seed(self.seed, id.0)));
@@ -530,7 +533,7 @@ impl World {
     pub fn add_router(&mut self, config: RouterConfig) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.node_syms.push(crate::arena::intern(&config.name));
-        self.nodes.push(Some(Node::Router(Router::new(id, config))));
+        self.nodes.push(Node::Router(Router::new(id, config)));
         self.node_seq.push(0);
         self.node_rng
             .push(StdRng::seed_from_u64(node_seed(self.seed, id.0)));
@@ -548,7 +551,7 @@ impl World {
     pub fn attach(&mut self, node: NodeId, seg: SegmentId, addr: Option<&str>) -> IfaceNo {
         let mac = self.fresh_mac();
         let mtu = self.segments[seg.0].config.mtu;
-        let n = self.nodes[node.0].as_mut().expect("node exists");
+        let n = &mut self.nodes[node.0];
         let iface = n.nic_mut().add_iface(mac);
         n.nic_mut().set_segment(iface, Some(seg), mtu);
         if let Some(a) = addr {
@@ -565,7 +568,7 @@ impl World {
     pub fn reattach(&mut self, node: NodeId, iface: IfaceNo, seg: SegmentId) {
         self.detach(node, iface);
         let mtu = self.segments[seg.0].config.mtu;
-        let n = self.nodes[node.0].as_mut().expect("node exists");
+        let n = &mut self.nodes[node.0];
         n.nic_mut().set_segment(iface, Some(seg), mtu);
         let mac = n.nic().mac(iface);
         n.invalidate_route_cache();
@@ -575,7 +578,7 @@ impl World {
 
     /// Unplug an interface from whatever segment it is on.
     pub fn detach(&mut self, node: NodeId, iface: IfaceNo) {
-        let n = self.nodes[node.0].as_mut().expect("node exists");
+        let n = &mut self.nodes[node.0];
         if let Some(old) = n.nic().segment(iface) {
             self.segments[old.0].detach(node, iface);
             n.nic_mut().set_segment(iface, None, 1500);
@@ -592,7 +595,7 @@ impl World {
 
     /// Borrow a host (panics if `id` is a router).
     pub fn host(&self, id: NodeId) -> &Host {
-        match self.nodes[id.0].as_ref().expect("node present") {
+        match &self.nodes[id.0] {
             Node::Host(h) => h,
             Node::Router(_) => panic!("node {} is a router", id.0),
         }
@@ -600,7 +603,7 @@ impl World {
 
     /// Mutably borrow a host (panics if `id` is a router).
     pub fn host_mut(&mut self, id: NodeId) -> &mut Host {
-        match self.nodes[id.0].as_mut().expect("node present") {
+        match &mut self.nodes[id.0] {
             Node::Host(h) => h,
             Node::Router(_) => panic!("node {} is a router", id.0),
         }
@@ -608,7 +611,7 @@ impl World {
 
     /// Mutably borrow a router (panics if `id` is a host).
     pub fn router_mut(&mut self, id: NodeId) -> &mut Router {
-        match self.nodes[id.0].as_mut().expect("node present") {
+        match &mut self.nodes[id.0] {
             Node::Router(r) => r,
             Node::Host(_) => panic!("node {} is a host", id.0),
         }
@@ -627,13 +630,10 @@ impl World {
     /// Run `f` against a host with a live [`NetCtx`] — how tests, examples
     /// and the mobility layer inject work into the simulation.
     pub fn host_do<R>(&mut self, id: NodeId, f: impl FnOnce(&mut Host, &mut NetCtx) -> R) -> R {
-        let mut node = self.nodes[id.0].take().expect("node present");
-        let r = match &mut node {
-            Node::Host(h) => f(h, &mut self.ctx(id)),
-            Node::Router(_) => panic!("node {} is a router", id.0),
-        };
-        self.nodes[id.0] = Some(node);
-        r
+        match self.node_and_ctx(id) {
+            (Node::Host(h), mut ctx) => f(h, &mut ctx),
+            (Node::Router(_), _) => panic!("node {} is a router", id.0),
+        }
     }
 
     /// Schedule an immediate application poll on `node` (bootstraps apps).
@@ -649,12 +649,12 @@ impl World {
 
     // ---- event loop -----------------------------------------------------------
 
-    /// The [`NetCtx`] view over the world for one event addressed to
-    /// `node`. The node itself is taken out of `nodes` by the caller, so
-    /// the context and the node borrow disjoint state.
+    /// Node `node`, in place, and the [`NetCtx`] view over the rest of
+    /// the world for one event addressed to it. The two borrow disjoint
+    /// fields, so the node is never moved out of `nodes`.
     #[inline]
-    fn ctx(&mut self, node: NodeId) -> NetCtx<'_> {
-        NetCtx {
+    fn node_and_ctx(&mut self, node: NodeId) -> (&mut Node, NetCtx<'_>) {
+        let ctx = NetCtx {
             now: self.now,
             node,
             queue: &mut self.queue,
@@ -666,7 +666,8 @@ impl World {
             metrics: &mut self.metrics,
             invariants: &mut self.invariants,
             pcap: &mut self.pcap,
-        }
+        };
+        (&mut self.nodes[node.0], ctx)
     }
 
     /// Fire one already-popped event: route it to the owning node with a
@@ -677,30 +678,26 @@ impl World {
             EventKind::Deliver { node, iface, frame } => (node, Some((iface, frame)), None),
             EventKind::Timer(t) => (t.node, None, Some(t.token)),
         };
-        let kind_was_frame = iface_frame.is_some();
         // A node may have been detached between scheduling and delivery
         // (mid-flight frames to a departed mobile host are lost, as in
         // reality).
-        let Some(mut n) = self.nodes.get_mut(node.0).and_then(Option::take) else {
-            if kind_was_frame {
+        let attached = match (self.nodes.get(node.0), &iface_frame) {
+            (None, _) => false,
+            (Some(n), Some((iface, _))) => n.nic().segment(*iface).is_some(),
+            (Some(_), None) => true,
+        };
+        if !attached {
+            if iface_frame.is_some() {
                 self.invariants.note_detached_frame();
             }
             return;
-        };
-        if let Some((iface, _)) = &iface_frame {
-            if n.nic().segment(*iface).is_none() {
-                self.nodes[node.0] = Some(n);
-                self.invariants.note_detached_frame();
-                return;
-            }
         }
-        let mut ctx = self.ctx(node);
+        let (n, mut ctx) = self.node_and_ctx(node);
         match (iface_frame, token) {
             (Some((iface, frame)), _) => n.on_frame(&mut ctx, iface, &frame),
             (None, Some(token)) => n.on_timer(&mut ctx, token),
             (None, None) => unreachable!(),
         }
-        self.nodes[node.0] = Some(n);
     }
 
     /// Process one event. Returns `false` when the queue is empty.
@@ -919,20 +916,15 @@ impl World {
             }
         }
 
-        let node_ids: Vec<NodeId> = (0..self.nodes.len())
-            .filter(|i| self.nodes[*i].is_some())
-            .map(NodeId)
-            .collect();
-
         // Dijkstra scratch arrays, allocated once and reset per node (flat
         // vectors indexed by segment instead of per-node HashMaps).
         let mut dist: Vec<Option<u64>> = vec![None; seg_count];
         let mut pred: Vec<Option<(Ipv4Addr, usize)>> = vec![None; seg_count];
         let mut heap: BinaryHeap<std::cmp::Reverse<(u64, usize)>> = BinaryHeap::new();
 
-        for me in node_ids {
+        for me in (0..self.nodes.len()).map(NodeId) {
             let (starts, my_segs): (Vec<(usize, IfaceNo)>, Vec<usize>) = {
-                let node = self.nodes[me.0].as_ref().unwrap();
+                let node = &self.nodes[me.0];
                 let nic = node.nic();
                 let mut starts = Vec::new();
                 for i in 0..nic.iface_count() {
@@ -970,7 +962,7 @@ impl World {
                     if rid == me {
                         continue;
                     }
-                    let rnic = self.nodes[rid.0].as_ref().unwrap().nic();
+                    let rnic = self.nodes[rid.0].nic();
                     for j in 0..rnic.iface_count() {
                         let Some(next) = rnic.segment(j) else {
                             continue;
@@ -1018,7 +1010,7 @@ impl World {
                 new_routes.push((prefix, iface, Some(gateway.0)));
             }
 
-            let node = self.nodes[me.0].as_mut().unwrap();
+            let node = &mut self.nodes[me.0];
             node.clear_routes();
             for (p, i, g) in new_routes {
                 node.add_route(p, i, g);
@@ -1027,10 +1019,7 @@ impl World {
     }
 
     fn nodes_iter(&self) -> impl Iterator<Item = (NodeId, &Node)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|n| (NodeId(i), n)))
+        self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i), n))
     }
 }
 

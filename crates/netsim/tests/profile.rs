@@ -162,9 +162,10 @@ fn scopes_attribute_allocations() {
 
 #[test]
 fn histogram_records_allocate_nothing() {
-    // The HDR histogram is fixed-size: after construction, recording any
-    // number of samples must not allocate. Warm up, then diff the
-    // thread-local allocation counter around one million records.
+    // The HDR histogram allocates its fixed-size bucket array on the
+    // first sample; after that warm-up, recording any number of samples
+    // must not allocate. Diff the thread-local allocation counter around
+    // one million records.
     let mut h = Histogram::EMPTY;
     h.record(1);
     let (allocs_before, _) = profile::thread_allocations();
@@ -179,6 +180,29 @@ fn histogram_records_allocate_nothing() {
     );
     assert_eq!(h.count(), 1_000_001);
     assert!(h.percentile(50).is_some());
+}
+
+#[test]
+fn empty_histograms_allocate_nothing() {
+    // Buckets are lazy: a histogram that never saw a sample — and a merge
+    // that folds one in — costs no heap, which is what keeps an observed
+    // world's per-node TCP RTT histograms free on hosts that run no TCP.
+    let (allocs_before, _) = profile::thread_allocations();
+    let mut h = Histogram::EMPTY;
+    h.merge(&Histogram::EMPTY);
+    let mut node = netsim::NodeMetrics::default();
+    node.merge(&netsim::NodeMetrics::default());
+    let (allocs_after, _) = profile::thread_allocations();
+    assert_eq!(allocs_after - allocs_before, 0, "empty histograms allocate");
+    assert_eq!(h, Histogram::EMPTY);
+    assert_eq!(h.percentile(50), None);
+    // Folding a recorded histogram into an empty one allocates the
+    // buckets and yields the same histogram.
+    let mut recorded = Histogram::EMPTY;
+    recorded.record(42);
+    h.merge(&recorded);
+    assert_eq!(h, recorded);
+    assert_eq!(h.percentile(50), Some(42));
 }
 
 #[test]

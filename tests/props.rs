@@ -62,7 +62,7 @@ proptest! {
         // hits the checksum-compensating position pair — the packet parses
         // to something; it must never parse back to a DIFFERENT packet
         // silently claiming to be the original.
-        if let Ok(q) = Ipv4Packet::parse(&wire) {
+        if let Ok(q) = Ipv4Packet::parse(&Bytes::from(wire)) {
             // A successful parse after a header flip can only happen if the
             // flip landed in the checksum field itself in a way that still
             // verifies — impossible for a single bit — so:
@@ -231,6 +231,7 @@ proptest! {
 
     #[test]
     fn parse_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+        let data = Bytes::from(data);
         let _ = Ipv4Packet::parse(&data);
         let _ = EthernetFrame::parse(&data);
         let _ = ArpPacket::parse(&data);
@@ -290,6 +291,55 @@ proptest! {
         prop_assert_eq!(&parsed, &pkt);
         let route = SourceRoute::parse(&parsed.options).unwrap();
         prop_assert_eq!(route.hops, hops);
+    }
+
+    #[test]
+    fn parse_slices_its_input_and_drops_link_padding(
+        p in arb_packet(),
+        hops in proptest::collection::vec(any::<u32>().prop_map(Ipv4Addr), 0..9),
+        padding in proptest::collection::vec(any::<u8>(), 0..64),
+        garbage in proptest::collection::vec(any::<u8>(), 20..256),
+    ) {
+        use mobility4x4::netsim::wire::internet_checksum;
+        use mobility4x4::netsim::wire::ipv4::IPV4_HEADER_LEN;
+        use mobility4x4::netsim::wire::srcroute::SourceRoute;
+        // Garbage with a version-4 header and a valid checksum, so that
+        // the IHL and total-length checks are what decide: the parse
+        // succeeds exactly when both fit, and then options and payload
+        // are views of the input, not copies.
+        let mut g = garbage;
+        g[0] = 0x40 | (g[0] & 0x0f);
+        let ihl = usize::from(g[0] & 0x0f) * 4;
+        if ihl >= IPV4_HEADER_LEN && ihl <= g.len() {
+            g[10..12].fill(0);
+            let ck = internet_checksum(&g[..ihl], 0);
+            g[10..12].copy_from_slice(&ck.to_be_bytes());
+        }
+        let total_len = usize::from(u16::from_be_bytes([g[2], g[3]]));
+        let fits = ihl >= IPV4_HEADER_LEN && ihl <= total_len && total_len <= g.len();
+        let g = Bytes::from(g);
+        match Ipv4Packet::parse(&g) {
+            Ok(q) => {
+                prop_assert!(fits);
+                prop_assert_eq!(&q.options[..], &g[IPV4_HEADER_LEN..ihl]);
+                prop_assert_eq!(&q.payload[..], &g[ihl..total_len]);
+                prop_assert_eq!(q.payload.as_ptr(), g[ihl..].as_ptr());
+            }
+            Err(_) => prop_assert!(!fits),
+        }
+        // Valid packets, with or without options, followed by link
+        // padding that the parse must leave out of the payload.
+        let mut pkt = p;
+        if !hops.is_empty() {
+            pkt.set_options(&SourceRoute::new(&hops).emit());
+        }
+        prop_assume!(pkt.wire_len() <= 65_535);
+        let mut wire = pkt.emit().to_vec();
+        wire.extend_from_slice(&padding);
+        let wire = Bytes::from(wire);
+        let parsed = Ipv4Packet::parse(&wire).unwrap();
+        prop_assert_eq!(&parsed, &pkt);
+        prop_assert_eq!(parsed.payload.as_ptr(), wire[pkt.header_len()..].as_ptr());
     }
 
     #[test]
