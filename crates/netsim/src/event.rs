@@ -422,13 +422,15 @@ impl Wheel {
         }
     }
 
-    /// Release bucket/overflow capacity grown during event bursts. Only
-    /// empty buffers are dropped, so entries (tombstoned or live) are
-    /// never touched: steady-state memory reflects the world, not the
-    /// largest broadcast storm the queue ever absorbed.
+    /// Release bucket/overflow capacity grown during event bursts. Every
+    /// empty bucket buffer is dropped, small ones too: thousands of slots
+    /// each keeping a few-entry buffer add up at scale. Only empty buffers
+    /// are dropped, so entries (tombstoned or live) are never touched:
+    /// steady-state memory reflects the world, not the largest broadcast
+    /// storm the queue ever absorbed.
     fn shrink(&mut self) {
         for v in &mut self.slots {
-            if v.is_empty() && v.capacity() > 32 {
+            if v.is_empty() {
                 *v = Vec::new();
             }
         }

@@ -1,12 +1,16 @@
 //! Links: shared Ethernet segments and point-to-point wires.
 //!
 //! Both are modelled as a *segment* — a broadcast domain with N attachments.
-//! A frame transmitted by one attachment is delivered to every other
-//! attachment after the serialization and propagation delay; receivers
-//! filter by destination MAC. This physical-broadcast model is what makes
-//! the paper's In-DH mode (§5) work exactly as described: a correspondent on
-//! the same segment can address a frame to the mobile host's MAC even though
-//! the IP destination "does not belong" on that network.
+//! A frame transmitted by one attachment arrives after the serialization
+//! and propagation delay. A unicast frame reaches only the attachment that
+//! owns its destination MAC: every other NIC on a real wire would discard
+//! it on the address check, so the segment does that filtering once at
+//! transmit instead of once per bystander. Broadcast and multicast frames
+//! reach every other attachment. Delivery follows the MAC, not the IP
+//! header, which is what makes the paper's In-DH mode (§5) work exactly as
+//! described: a correspondent on the same segment can address a frame to
+//! the mobile host's MAC even though the IP destination "does not belong"
+//! on that network.
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -218,21 +222,41 @@ impl SegState {
     }
 }
 
+/// What [`Segment::transmit`] did with one frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sent {
+    /// The fault injector's verdict (`Drop` also for oversize frames).
+    pub outcome: FaultOutcome,
+    /// The frame crossed the wire unicast to a MAC that no attachment
+    /// owns (a stale ARP entry after a handoff): no NIC takes it.
+    pub unclaimed: bool,
+}
+
+impl Sent {
+    /// A frame that never crossed the wire.
+    fn lost(outcome: FaultOutcome) -> Sent {
+        Sent {
+            outcome,
+            unclaimed: false,
+        }
+    }
+}
+
 /// A broadcast domain. Two attachments = point-to-point wire.
 ///
 /// Holds only the parts that are immutable while events are dispatched:
-/// link parameters, attachments and the MAC registry (topology changes
-/// happen inside node handlers via deferred world ops, never concurrently
-/// with a transmit). The mutable side lives in [`SegState`].
+/// link parameters and attachments (topology changes happen inside node
+/// handlers via deferred world ops, never concurrently with a transmit).
+/// The mutable side lives in [`SegState`]. Unicast frames go to the
+/// attachment owning the destination MAC; broadcast and multicast go to
+/// every other attachment.
 #[derive(Debug)]
 pub struct Segment {
     /// Static link parameters.
     pub config: LinkConfig,
-    attachments: Vec<(NodeId, IfaceNo)>,
-    /// Link-layer addresses of the attached interfaces, kept by the world
-    /// so the conservation monitor can tell a deliverable unicast frame
-    /// from one addressed to a MAC that has left the wire.
-    macs: Vec<((NodeId, IfaceNo), MacAddr)>,
+    /// Everything plugged in, with each interface's link-layer address.
+    /// A linear scan: stub LANs hold a few dozen attachments.
+    attachments: Vec<(NodeId, IfaceNo, MacAddr)>,
     /// The event-ordering lane for deliveries on this segment; the world
     /// assigns it from the segment index at creation.
     pub(crate) lane: u64,
@@ -250,51 +274,40 @@ impl Segment {
         Segment {
             config,
             attachments: Vec::new(),
-            macs: Vec::new(),
             lane: segment_lane(0),
             rng_seed: 0,
         }
     }
 
-    /// Attach a node interface to this segment.
-    pub fn attach(&mut self, node: NodeId, iface: IfaceNo) {
-        self.attachments.push((node, iface));
-    }
-
-    /// Record the MAC of an attached interface (the world calls this at
-    /// attach time; [`Segment::detach`] forgets it).
-    pub fn register_mac(&mut self, node: NodeId, iface: IfaceNo, mac: MacAddr) {
-        self.macs.retain(|&(a, _)| a != (node, iface));
-        self.macs.push(((node, iface), mac));
-    }
-
-    /// Is any attached interface configured with `mac`? Frames unicast to
-    /// an unclaimed MAC die on the wire: every NIC ignores them.
-    pub fn mac_attached(&self, mac: MacAddr) -> bool {
-        self.macs.iter().any(|&(_, m)| m == mac)
+    /// Attach a node interface with link-layer address `mac`.
+    pub fn attach(&mut self, node: NodeId, iface: IfaceNo, mac: MacAddr) {
+        self.attachments.push((node, iface, mac));
     }
 
     /// Detach a node interface (the mobile host leaving a network).
     pub fn detach(&mut self, node: NodeId, iface: IfaceNo) {
-        self.attachments.retain(|&a| a != (node, iface));
-        self.macs.retain(|&(a, _)| a != (node, iface));
+        self.attachments
+            .retain(|&(n, i, _)| (n, i) != (node, iface));
     }
 
     /// Everything plugged into this segment.
-    pub fn attachments(&self) -> &[(NodeId, IfaceNo)] {
+    pub fn attachments(&self) -> &[(NodeId, IfaceNo, MacAddr)] {
         &self.attachments
     }
 
     /// Is this (node, interface) plugged in here?
     pub fn is_attached(&self, node: NodeId, iface: IfaceNo) -> bool {
-        self.attachments.contains(&(node, iface))
+        self.attachments
+            .iter()
+            .any(|&(n, i, _)| (n, i) == (node, iface))
     }
 
-    /// Transmit `frame` from `from`, scheduling delivery events to every
-    /// other attachment on `queue`. Applies serialization delay,
-    /// propagation latency and fault injection, mutating only the segment's
-    /// [`SegState`]. Returns the fault outcome (for link stats and drop
-    /// tracing by the caller). Delivery events carry `(segment lane,
+    /// Transmit `frame` from `from`, scheduling delivery events on
+    /// `queue`: to the attachment owning the destination MAC for unicast,
+    /// to every other attachment for broadcast and multicast (and for
+    /// runts too short to carry a destination). Applies serialization
+    /// delay, propagation latency and fault injection, mutating only the
+    /// segment's [`SegState`]. Delivery events carry `(segment lane,
     /// lane_seq)` keys, so equal-timestamp ordering is a function of the
     /// topology and traffic, not of push order.
     pub fn transmit(
@@ -304,13 +317,13 @@ impl Segment {
         frame: Bytes,
         now: SimTime,
         queue: &mut EventQueue,
-    ) -> FaultOutcome {
+    ) -> Sent {
         // Frames larger than MTU + Ethernet header indicate an IP-layer bug
         // upstream (fragmentation should have happened); drop and count.
         let max_frame = self.config.mtu + crate::wire::ethernet::ETHERNET_HEADER_LEN;
         if frame.len() > max_frame {
             state.stats.oversize_drops += 1;
-            return FaultOutcome::Drop;
+            return Sent::lost(FaultOutcome::Drop);
         }
 
         // Corrupt frames are never delivered (the FCS check below discards
@@ -329,7 +342,7 @@ impl Segment {
         };
         if outcome == FaultOutcome::Drop {
             state.stats.fault_drops += 1;
-            return outcome;
+            return Sent::lost(outcome);
         }
 
         state.stats.frames += 1;
@@ -345,16 +358,27 @@ impl Segment {
         // "no delivery events".
         if outcome == FaultOutcome::Corrupt {
             state.stats.crc_drops += 1;
-            return outcome;
+            return Sent::lost(outcome);
         }
 
+        // `None` for broadcast, multicast and runts: every other
+        // attachment hears those. A unicast frame counts as claimed when
+        // any attachment owns the MAC, the sender included.
+        let unicast = (frame.len() >= 6)
+            .then(|| MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]))
+            .filter(|dst| !dst.is_multicast());
+        let mut claimed = unicast.is_none();
         let copies = if outcome == FaultOutcome::Duplicate {
             2
         } else {
             1
         };
         for _ in 0..copies {
-            for &(node, iface) in &self.attachments {
+            for &(node, iface, mac) in &self.attachments {
+                if unicast.is_some_and(|dst| dst != mac) {
+                    continue;
+                }
+                claimed = true;
                 if (node, iface) == from {
                     continue;
                 }
@@ -371,16 +395,52 @@ impl Segment {
                 );
             }
         }
-        outcome
+        Sent {
+            outcome,
+            unclaimed: !claimed,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
 
+    /// An `n`-byte frame of 0xab octets: its destination 0xab.. has the
+    /// group bit set, so it is multicast and every other attachment hears it.
     fn frame(n: usize) -> Bytes {
         Bytes::from(vec![0xabu8; n])
+    }
+
+    fn mac(i: usize) -> MacAddr {
+        MacAddr::from_index(i as u32)
+    }
+
+    /// A 64-byte frame addressed to `dst`.
+    fn to(dst: MacAddr) -> Bytes {
+        let mut f = vec![0u8; 64];
+        f[..6].copy_from_slice(&dst.0);
+        Bytes::from(f)
+    }
+
+    /// A segment with `n` attachments: node `i`, interface 0, MAC `mac(i)`.
+    fn lan(n: usize, config: LinkConfig) -> Segment {
+        let mut seg = Segment::new(config);
+        for i in 0..n {
+            seg.attach(NodeId(i), 0, mac(i));
+        }
+        seg
+    }
+
+    /// The receiving node of every scheduled delivery, in pop order.
+    fn receivers(q: &mut EventQueue) -> Vec<usize> {
+        std::iter::from_fn(|| q.pop())
+            .map(|e| match e.kind {
+                EventKind::Deliver { node, .. } => node.0,
+                _ => unreachable!(),
+            })
+            .collect()
     }
 
     #[test]
@@ -391,8 +451,8 @@ mod tests {
             mtu: 1500,
             fault: FaultInjector::default(),
         });
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         seg.transmit(&mut st, (NodeId(0), 0), frame(1000), SimTime::ZERO, &mut q);
@@ -408,19 +468,12 @@ mod tests {
     fn broadcast_segment_reaches_all_other_attachments() {
         let mut seg = Segment::new(LinkConfig::lan());
         for i in 0..4 {
-            seg.attach(NodeId(i), 0);
+            seg.attach(NodeId(i), 0, mac(i));
         }
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         seg.transmit(&mut st, (NodeId(2), 0), frame(64), SimTime::ZERO, &mut q);
-        let mut receivers: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Deliver { node, .. } => node.0,
-                _ => unreachable!(),
-            })
-            .collect();
-        receivers.sort_unstable();
-        assert_eq!(receivers, vec![0, 1, 3]);
+        assert_eq!(receivers(&mut q), vec![0, 1, 3]);
     }
 
     #[test]
@@ -432,8 +485,8 @@ mod tests {
             fault: FaultInjector::default(),
         };
         let mut seg = Segment::new(cfg);
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         // Two back-to-back 500-byte frames at t=0: second must wait.
@@ -448,8 +501,8 @@ mod tests {
     #[test]
     fn detach_stops_delivery() {
         let mut seg = Segment::new(LinkConfig::lan());
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         assert!(seg.is_attached(NodeId(1), 0));
         seg.detach(NodeId(1), 0);
         assert!(!seg.is_attached(NodeId(1), 0));
@@ -462,8 +515,8 @@ mod tests {
     #[test]
     fn oversize_frames_dropped() {
         let mut seg = Segment::new(LinkConfig::lan()); // mtu 1500
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         let out = seg.transmit(
@@ -473,12 +526,12 @@ mod tests {
             SimTime::ZERO,
             &mut q,
         );
-        assert_eq!(out, FaultOutcome::Drop);
+        assert_eq!(out.outcome, FaultOutcome::Drop);
         assert_eq!(st.stats.oversize_drops, 1);
         assert!(q.is_empty());
         // Exactly MTU + header is fine.
         let out = seg.transmit(&mut st, (NodeId(0), 0), frame(1514), SimTime::ZERO, &mut q);
-        assert_eq!(out, FaultOutcome::Deliver);
+        assert_eq!(out.outcome, FaultOutcome::Deliver);
     }
 
     #[test]
@@ -490,14 +543,16 @@ mod tests {
             },
             ..LinkConfig::lan()
         });
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         seg.rng_seed = 42;
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         let mut dropped = 0;
         for _ in 0..1000 {
-            if seg.transmit(&mut st, (NodeId(0), 0), frame(64), SimTime::ZERO, &mut q)
+            if seg
+                .transmit(&mut st, (NodeId(0), 0), frame(64), SimTime::ZERO, &mut q)
+                .outcome
                 == FaultOutcome::Drop
             {
                 dropped += 1;
@@ -534,25 +589,26 @@ mod tests {
             },
             ..LinkConfig::lan()
         });
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         let out = seg.transmit(&mut st, (NodeId(0), 0), frame(64), SimTime::ZERO, &mut q);
-        assert_eq!(out, FaultOutcome::Duplicate);
+        assert_eq!(out.outcome, FaultOutcome::Duplicate);
         assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn zero_faults_is_deterministic_delivery() {
         let mut seg = Segment::new(LinkConfig::lan());
-        seg.attach(NodeId(0), 0);
-        seg.attach(NodeId(1), 0);
+        seg.attach(NodeId(0), 0, mac(0));
+        seg.attach(NodeId(1), 0, mac(1));
         let mut st = SegState::default();
         let mut q = EventQueue::new();
         for _ in 0..100 {
             assert_eq!(
-                seg.transmit(&mut st, (NodeId(0), 0), frame(64), SimTime::ZERO, &mut q),
+                seg.transmit(&mut st, (NodeId(0), 0), frame(64), SimTime::ZERO, &mut q)
+                    .outcome,
                 FaultOutcome::Deliver
             );
         }
@@ -561,5 +617,115 @@ mod tests {
             st.rng.is_none(),
             "fault-free segment must never seed its RNG"
         );
+    }
+
+    #[test]
+    fn unicast_reaches_only_its_owner() {
+        let seg = lan(4, LinkConfig::lan());
+        let mut st = SegState::default();
+        let mut q = EventQueue::new();
+        let sent = seg.transmit(&mut st, (NodeId(2), 0), to(mac(1)), SimTime::ZERO, &mut q);
+        assert_eq!(sent.outcome, FaultOutcome::Deliver);
+        assert!(!sent.unclaimed);
+        assert_eq!(receivers(&mut q), vec![1]);
+    }
+
+    #[test]
+    fn broadcast_multicast_and_runts_reach_every_other_attachment() {
+        let seg = lan(4, LinkConfig::lan());
+        let mut st = SegState::default();
+        let multicast = MacAddr([0x01, 0x00, 0x5e, 0x00, 0x00, 0x01]);
+        let runt = Bytes::from(vec![0x02u8; 5]); // too short for a destination
+        for f in [to(MacAddr::BROADCAST), to(multicast), runt] {
+            let mut q = EventQueue::new();
+            let sent = seg.transmit(&mut st, (NodeId(2), 0), f, SimTime::ZERO, &mut q);
+            assert!(!sent.unclaimed);
+            assert_eq!(receivers(&mut q), vec![0, 1, 3]);
+        }
+    }
+
+    #[test]
+    fn frame_to_absent_mac_schedules_nothing() {
+        let seg = lan(4, LinkConfig::lan());
+        let mut st = SegState::default();
+        let mut q = EventQueue::new();
+        let sent = seg.transmit(&mut st, (NodeId(0), 0), to(mac(9)), SimTime::ZERO, &mut q);
+        assert_eq!(sent.outcome, FaultOutcome::Deliver);
+        assert!(sent.unclaimed, "no attachment owns the MAC");
+        assert!(q.is_empty());
+        // It still occupied the wire.
+        assert_eq!(st.stats.frames, 1);
+        assert_eq!(
+            st.next_free,
+            SimTime::ZERO + LinkConfig::lan().serialize_time(64)
+        );
+    }
+
+    #[test]
+    fn frame_to_own_mac_is_claimed_but_not_delivered() {
+        let seg = lan(4, LinkConfig::lan());
+        let mut st = SegState::default();
+        let mut q = EventQueue::new();
+        let sent = seg.transmit(&mut st, (NodeId(0), 0), to(mac(0)), SimTime::ZERO, &mut q);
+        assert!(!sent.unclaimed, "the sender owns the MAC");
+        assert!(q.is_empty(), "sender must not hear its own frame");
+    }
+
+    #[test]
+    fn duplicate_gives_the_owner_two_copies() {
+        let seg = lan(
+            4,
+            LinkConfig {
+                fault: FaultInjector {
+                    duplicate_prob: 1.0,
+                    ..Default::default()
+                },
+                ..LinkConfig::lan()
+            },
+        );
+        let mut st = SegState::default();
+        let mut q = EventQueue::new();
+        let sent = seg.transmit(&mut st, (NodeId(0), 0), to(mac(3)), SimTime::ZERO, &mut q);
+        assert_eq!(sent.outcome, FaultOutcome::Duplicate);
+        assert_eq!(receivers(&mut q), vec![3, 3]);
+    }
+
+    #[test]
+    fn same_time_deliveries_keep_lane_order() {
+        // Infinitely fast, zero-latency wire: every frame arrives at t=0,
+        // so only the lane keys order the deliveries.
+        let seg = lan(
+            4,
+            LinkConfig {
+                latency: SimDuration::ZERO,
+                bandwidth_bps: None,
+                ..LinkConfig::lan()
+            },
+        );
+        let mut st = SegState::default();
+        let mut q = EventQueue::new();
+        for (from, f) in [
+            (0, to(mac(3))),
+            (1, to(MacAddr::BROADCAST)),
+            (3, to(mac(9))), // unclaimed: schedules nothing
+            (2, to(mac(0))),
+            (0, to(mac(1))),
+        ] {
+            seg.transmit(&mut st, (NodeId(from), 0), f, SimTime::ZERO, &mut q);
+        }
+        let events: Vec<Event> = std::iter::from_fn(|| q.pop()).collect();
+        assert!(events.iter().all(|e| e.at == SimTime::ZERO));
+        assert!(
+            events.windows(2).all(|w| w[0].seq < w[1].seq),
+            "keys strictly increase in transmit order"
+        );
+        let order: Vec<usize> = events
+            .into_iter()
+            .map(|e| match e.kind {
+                EventKind::Deliver { node, .. } => node.0,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, vec![3, 0, 2, 3, 0, 1]);
     }
 }

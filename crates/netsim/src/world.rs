@@ -15,7 +15,7 @@ use crate::event::{
     lane_key, node_lane, Event, EventKind, EventQueue, IfaceNo, NodeId, SchedulerStats,
     SchedulerTelemetry, Timer, TimerHandle, TimerToken,
 };
-use crate::link::{FaultOutcome, LinkConfig, LinkStats, SegState, Segment, SegmentId};
+use crate::link::{FaultOutcome, LinkConfig, LinkStats, SegState, Segment, SegmentId, Sent};
 use crate::metrics::{MetricsRegistry, SketchConfig};
 use crate::telemetry::{hash64, InvariantMonitor, TelemetryConfig};
 use crate::time::{SimDuration, SimTime};
@@ -171,7 +171,7 @@ impl NetCtx<'_> {
             (SimDuration::ZERO, SimDuration::ZERO)
         };
         let wire_len = frame.len();
-        let outcome = segment.transmit(
+        let Sent { outcome, unclaimed } = segment.transmit(
             &mut self.seg_states[seg.0],
             (self.node, iface),
             frame.clone(),
@@ -184,14 +184,11 @@ impl NetCtx<'_> {
             // Whatever packet the frame carried is attributably lost on the
             // wire, not leaked — the conservation monitor's ledger.
             self.invariants.note_wire_loss();
-        } else if self.invariants.enabled() && frame.len() >= 6 {
+        } else if unclaimed {
             // A frame unicast to a MAC no longer on this wire (stale ARP
-            // after a handoff, a vanished care-of address) is ignored by
-            // every NIC and dies here — attributable, not leaked.
-            let dst = MacAddr([frame[0], frame[1], frame[2], frame[3], frame[4], frame[5]]);
-            if !dst.is_broadcast() && !dst.is_multicast() && !segment.mac_attached(dst) {
-                self.invariants.note_unclaimed_frame();
-            }
+            // after a handoff, a vanished care-of address) reaches no NIC
+            // and dies here — attributable, not leaked.
+            self.invariants.note_unclaimed_frame();
         }
         if outcome != FaultOutcome::Drop {
             if let Some(pcap) = self.pcap.as_mut() {
@@ -558,8 +555,7 @@ impl World {
             n.nic_mut().set_addr(iface, Some(IfaceAddr::parse(a)));
         }
         n.invalidate_route_cache();
-        self.segments[seg.0].attach(node, iface);
-        self.segments[seg.0].register_mac(node, iface, mac);
+        self.segments[seg.0].attach(node, iface, mac);
         iface
     }
 
@@ -572,8 +568,7 @@ impl World {
         n.nic_mut().set_segment(iface, Some(seg), mtu);
         let mac = n.nic().mac(iface);
         n.invalidate_route_cache();
-        self.segments[seg.0].attach(node, iface);
-        self.segments[seg.0].register_mac(node, iface, mac);
+        self.segments[seg.0].attach(node, iface, mac);
     }
 
     /// Unplug an interface from whatever segment it is on.
@@ -1091,6 +1086,41 @@ mod tests {
             .icmp_log
             .iter()
             .any(|e| matches!(e.message, IcmpMessage::EchoReply { seq: 5, .. })));
+    }
+
+    /// On a warm LAN one ping exchange costs a fixed number of events,
+    /// not one per resident: the request and the reply each reach only
+    /// the NIC that owns their destination MAC.
+    #[test]
+    fn warm_unicast_ping_dispatches_independent_of_lan_size() {
+        let mut w = World::new(7);
+        let lan = w.add_segment(LinkConfig::lan());
+        let hosts: Vec<NodeId> = (0..32)
+            .map(|i| {
+                let h = w.add_host(HostConfig::conventional(&format!("h{i}")));
+                w.attach(h, lan, Some(&format!("10.0.1.{}/24", i + 1)));
+                h
+            })
+            .collect();
+        let ping = |w: &mut World, seq| {
+            let before = w.scheduler_stats().dispatched;
+            w.host_do(hosts[0], |h, ctx| {
+                h.send_ping(ctx, ip("10.0.1.1"), ip("10.0.1.2"), seq)
+            });
+            w.run_until_idle(10_000);
+            w.scheduler_stats().dispatched - before
+        };
+        // The first exchange resolves ARP: its request is a broadcast
+        // every resident hears.
+        let cold = ping(&mut w, 1);
+        assert!(cold > 31, "ARP broadcast reaches all 31 others: {cold}");
+        let warm = ping(&mut w, 2);
+        assert_eq!(warm, 2, "warm ping: one request and one reply delivery");
+        assert!(w
+            .host(hosts[0])
+            .icmp_log
+            .iter()
+            .any(|e| matches!(e.message, IcmpMessage::EchoReply { seq: 2, .. })));
     }
 
     #[test]

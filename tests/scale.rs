@@ -16,14 +16,25 @@ use mobility4x4::netsim;
 
 static GLOBAL: Mutex<()> = Mutex::new(());
 
-/// Build a seeded world, run the full churn workload, and fingerprint
-/// everything observable: the world snapshot (nodes, routes, bindings)
-/// and the churn outcome.
+/// Build a seeded world, observe it as E18 does (per-node and
+/// per-segment metrics plus the invariant monitors), run the full churn
+/// workload, and fingerprint everything observable: the world snapshot
+/// (metrics, packet lifecycles) and the churn outcome.
 fn fingerprint(params: &ScaleParams, churn: &ChurnParams) -> (String, String) {
     let (mut w, ix) = build_world(params);
+    w.enable_metrics();
+    w.enable_invariants();
     let stats = run_churn(&mut w, &ix, churn);
+    assert!(!w.has_invariant_violations(), "monitors must stay clean");
     let snap = serde_json::to_string(&report::world_snapshot(&w)).expect("serialize snapshot");
     (snap, format!("{stats:?}"))
+}
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 #[test]
@@ -38,6 +49,19 @@ fn seeded_generator_is_byte_identical_run_to_run() {
     let first = fingerprint(&params, &churn);
     let again = fingerprint(&params, &churn);
     assert_eq!(first, again, "same seed must reproduce the same world");
+    // Pinned as well, so a change that alters E18's observable outcome
+    // (which frames arrive where, what the monitors count) cannot pass
+    // as a pure speed-up.
+    let (snap, stats) = &first;
+    assert_eq!(
+        (
+            snap.len(),
+            fnv1a64(snap.as_bytes()),
+            fnv1a64(stats.as_bytes())
+        ),
+        (851_093, 0xd611_ae95_1a34_e463, 0x45c6_cd77_4c91_2543),
+        "E18 output changed"
+    );
 }
 
 /// The world the memory budgets are checked on. Debug builds pay the
